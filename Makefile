@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-json invariants attr-invariants check bench bench-check obs-smoke serve-smoke fleet-smoke serve-bench postmortem-smoke kernel-check kernel-ab
+.PHONY: build test race vet lint lint-json invariants attr-invariants check bench bench-check obs-smoke serve-smoke serve-bench postmortem-smoke kernel-check kernel-ab
 
 build:
 	$(GO) build ./...
@@ -97,19 +97,12 @@ obs-smoke:
 
 # End-to-end serving smoke: boot mnpuserved, run a job over HTTP,
 # byte-compare the served result against `mnpusim -json`, verify the
-# result cache short-circuits a resubmission, cancel an in-flight job,
-# and drain via SIGTERM (see scripts/serve_smoke.sh).
+# result cache short-circuits a resubmission, run a sampled sweep twice
+# (the second all cache hits), fetch and render a traced sweep's spans,
+# answer a warm job from a second daemon on the same -cache-dir, cancel
+# an in-flight job, and drain via SIGTERM (see scripts/serve_smoke.sh).
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-# End-to-end fleet smoke: boot THREE daemons sharing a persistent
-# cache directory and a consistent-hash ring, run a sampled quad sweep
-# through POST /v1/sweeps, verify cross-daemon routing and shared-cache
-# dedup (one simulation per distinct unit fleet-wide), kill a member
-# mid-sweep and require the sweep to complete anyway, then drain the
-# survivors (see scripts/fleet_smoke.sh).
-fleet-smoke:
-	sh scripts/fleet_smoke.sh
 
 # Serving-layer load benchmark: boot a daemon, replay a dual-core grid
 # 25x through cmd/mnpuload, and record latency percentiles, throughput,

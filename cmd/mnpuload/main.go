@@ -1,5 +1,5 @@
 // Command mnpuload is the serving-layer load harness: it replays mixed
-// simulation traffic against one or more mnpuserved daemons through the
+// simulation traffic against an mnpuserved daemon through the
 // typed client and reports latency percentiles (client-observed and
 // server-side via the Server-Timing header), throughput, and cache-hit
 // rate.
@@ -72,7 +72,6 @@ type benchReport struct {
 	ServerSamples int          `json:"server_samples"`
 	CacheHits     int          `json:"cache_hits"`
 	CacheHitRate  float64      `json:"cache_hit_rate"`
-	Forwarded     int          `json:"forwarded"`
 	Simulations   int64        `json:"simulations"`
 }
 
@@ -115,7 +114,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			return fmt.Errorf("-one needs -workloads")
 		}
 		spec.Workloads = splitCSV(*wlFlag)
-		_, result, _, err := submitAndWait(ctx, c, spec, *poll)
+		_, result, err := submitAndWait(ctx, c, spec, *poll)
 		if err != nil {
 			return err
 		}
@@ -176,7 +175,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	type reqSample struct {
 		latency time.Duration
 		cached  bool
-		peer    bool
 		err     error
 	}
 	total := len(population) * *rounds
@@ -190,8 +188,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 			defer wg.Done()
 			for i := range idx {
 				t0 := time.Now()
-				cached, _, peer, err := submitAndWait(ctx, c, population[i%len(population)], *poll)
-				samples[i] = reqSample{latency: time.Since(t0), cached: cached, peer: peer, err: err}
+				cached, _, err := submitAndWait(ctx, c, population[i%len(population)], *poll)
+				samples[i] = reqSample{latency: time.Since(t0), cached: cached, err: err}
 			}
 		}()
 	}
@@ -228,9 +226,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		if sm.cached {
 			rep.CacheHits++
 		}
-		if sm.peer {
-			rep.Forwarded++
-		}
 	}
 	if n := total - rep.Failed; n > 0 {
 		rep.CacheHitRate = float64(rep.CacheHits) / float64(n)
@@ -261,30 +256,28 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	return nil
 }
 
-// submitAndWait runs one job end to end, following fleet forwarding,
-// and returns whether it was cache-served, the result bytes, and
-// whether a peer (not the submission target) ran it.
-func submitAndWait(ctx context.Context, c *client.Client, spec api.JobSpec, poll time.Duration) (cached bool, result []byte, peer bool, err error) {
+// submitAndWait runs one job end to end and returns whether it was
+// cache-served and the result bytes.
+func submitAndWait(ctx context.Context, c *client.Client, spec api.JobSpec, poll time.Duration) (cached bool, result []byte, err error) {
 	v, err := c.SubmitJob(ctx, spec)
 	if err != nil {
-		return false, nil, false, err
+		return false, nil, err
 	}
-	jc := c.ForJob(v)
 	if !v.Status.Terminal() {
-		if v, err = jc.WaitJob(ctx, v.ID, poll); err != nil {
-			return false, nil, v.Peer != "", err
+		if v, err = c.WaitJob(ctx, v.ID, poll); err != nil {
+			return false, nil, err
 		}
 	}
 	if v.Status != api.StatusDone {
-		return false, nil, v.Peer != "", fmt.Errorf("job %s %s: %s", v.ID, v.Status, v.Error)
+		return false, nil, fmt.Errorf("job %s %s: %s", v.ID, v.Status, v.Error)
 	}
 	result = v.Result
 	if len(result) == 0 {
-		if result, err = jc.JobResult(ctx, v.ID); err != nil {
-			return false, nil, false, err
+		if result, err = c.JobResult(ctx, v.ID); err != nil {
+			return false, nil, err
 		}
 	}
-	return v.Cached, result, jc != c, nil
+	return v.Cached, result, nil
 }
 
 // percentiles summarizes a latency sample in milliseconds.

@@ -210,14 +210,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-log-level", "loud"},
 		{"-log-format", "xml"},
 		{"-addr", "127.0.0.1:0", "-debug-addr", "999.999.999.999:0"},
-		{"-addr", "127.0.0.1:0", "-self", "http://x"},                        // self without peers
-		{"-addr", "127.0.0.1:0", "-peers", "http://a,http://b", "-self", ""}, // self defaults to bound addr, not in peers
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		err := run(ctx, args, out)
 		cancel()
 		if err == nil {
 			t.Errorf("run(%v) succeeded", args)
+		}
+	}
+	// The daemon takes no fleet flags.
+	for _, name := range []string{"-peers", "-self"} {
+		err := run(context.Background(), []string{"-addr", "127.0.0.1:0", name, "http://x"}, out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run(%s) = %v, want an unknown-flag error", name, err)
 		}
 	}
 }

@@ -1,7 +1,8 @@
-// Package dtrace is the fleet's distributed-tracing layer: it follows
-// one request — a job or a whole sweep — across daemons, queues,
-// caches, and into the simulation run itself, using W3C traceparent
-// propagation so every hop shares a single trace ID.
+// Package dtrace is the serving layer's distributed-tracing layer: it
+// follows one request — a job or a whole sweep — through the daemon's
+// queues and caches and into the simulation run itself, using W3C
+// traceparent propagation so the caller and the daemon share a single
+// trace ID.
 //
 // Spans are recorded complete (emit-on-end, Jaeger-style): a span is
 // built while the operation runs and appended to a bounded in-memory
@@ -122,8 +123,7 @@ type Tracer struct {
 }
 
 // NewTracer returns a tracer recording spans for the named service
-// (the daemon's fleet URL, or a fixed name for solo daemons) into
-// store. The ID stream is seeded from the process start time and the
+// into store. The ID stream is seeded from the process start time and the
 // service name, so concurrently started daemons draw from disjoint
 // streams.
 func NewTracer(service string, store *Store) *Tracer {

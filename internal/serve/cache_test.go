@@ -2,11 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"mnpusim/internal/sim"
 )
 
 func newTestCache(t *testing.T, max int, dir string) *resultCache {
@@ -71,7 +75,7 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 }
 
 // TestCacheDiskReadThrough verifies one instance sees entries another
-// instance wrote after both warmed — the shared --cache-dir fleet path.
+// instance wrote after both warmed — the shared --cache-dir path.
 func TestCacheDiskReadThrough(t *testing.T) {
 	dir := t.TempDir()
 	a := newTestCache(t, 16, dir)
@@ -173,5 +177,46 @@ func TestCacheDiskEviction(t *testing.T) {
 	}
 	if _, err := os.Stat(old); !os.IsNotExist(err) {
 		t.Errorf("oldest entry e1 not evicted; on disk: %v", names)
+	}
+}
+
+// TestSharedCacheAcrossServers verifies two servers over one CacheDir
+// serve each other's results: the second answers from disk, marked
+// cached, with byte-identical results and no new simulation.
+func TestSharedCacheAcrossServers(t *testing.T) {
+	dir := t.TempDir()
+	var sims atomic.Int64
+	stub := func(ctx context.Context, c sim.Config) (sim.Result, error) {
+		sims.Add(1)
+		return fakeResult(3), nil
+	}
+	a := newStubServer(t, Config{Workers: 1, CacheDir: dir}, stub)
+	b := newStubServer(t, Config{Workers: 1, CacheDir: dir}, stub)
+
+	jA, err := a.Submit(ncfSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vA := waitTerminal(t, a, jA.ID).View(true)
+	if vA.Status != StatusDone || sims.Load() != 1 {
+		t.Fatalf("first run: status %s, simulations %d", vA.Status, sims.Load())
+	}
+
+	jB, err := b.Submit(ncfSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vB := waitTerminal(t, b, jB.ID).View(true)
+	if vB.Status != StatusDone || !vB.Cached {
+		t.Fatalf("second server: status %s cached %v, want a done cache hit", vB.Status, vB.Cached)
+	}
+	if sims.Load() != 1 {
+		t.Errorf("simulations = %d after shared-cache replay, want still 1", sims.Load())
+	}
+	if !bytes.Equal(vA.Result, vB.Result) {
+		t.Error("shared-cache result bytes differ")
+	}
+	if b.diskCacheHits.Value() == 0 {
+		t.Error("second server recorded no disk cache hits")
 	}
 }

@@ -1,9 +1,8 @@
 // Package client is the typed Go client of the mnpuserved HTTP API.
 // It speaks exactly the wire format defined in internal/serve/api —
-// jobs, sweeps, the fleet surface, SSE event streams, and post-mortem
-// dumps — and is the one consumer-side implementation: cmd/mnpuload,
-// the end-to-end tests, the smoke scripts' helpers, and the server's
-// own fleet forwarding all go through it.
+// jobs, sweeps, traces, SSE event streams, and post-mortem dumps — and
+// is the one consumer-side implementation: cmd/mnpuload, the
+// end-to-end tests, and the smoke scripts' helpers all go through it.
 package client
 
 import (
@@ -23,11 +22,6 @@ import (
 	"mnpusim/internal/serve/api"
 )
 
-// ForwardedHeader marks a submission already routed by a fleet member;
-// a daemon receiving it executes locally instead of re-forwarding, so
-// ring-view disagreements can never loop a request.
-const ForwardedHeader = "X-Mnpu-Forwarded"
-
 // APIError is a non-2xx response decoded from the structured error
 // envelope every /v1 endpoint returns.
 type APIError struct {
@@ -45,19 +39,6 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("serve api: %s (%d %s)", e.Message, e.Status, e.Code)
 }
 
-// IsNotFound reports whether err is an APIError with the not_found code.
-func IsNotFound(err error) bool {
-	ae, ok := err.(*APIError)
-	return ok && ae.Code == api.ErrNotFound
-}
-
-// IsRetryable reports whether err is an APIError the server marked
-// retryable (queue full, draining).
-func IsRetryable(err error) bool {
-	ae, ok := err.(*APIError)
-	return ok && ae.Retryable
-}
-
 // Client talks to one daemon. The zero value is not usable; construct
 // with New.
 type Client struct {
@@ -65,10 +46,6 @@ type Client struct {
 	Base string
 	// HTTP is the underlying client; New installs http.DefaultClient.
 	HTTP *http.Client
-	// Forwarded, when non-empty, stamps every request with the
-	// ForwardedHeader (set to the forwarding daemon's own URL). Only
-	// fleet members forwarding misrouted submissions set this.
-	Forwarded string
 	// OnServerTiming, when set, receives the total;dur value (in
 	// milliseconds) of every response carrying a Server-Timing header —
 	// the server-side handling time, as opposed to the client-observed
@@ -97,9 +74,6 @@ func (c *Client) do(ctx context.Context, method, path string, body io.Reader) (*
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
-	}
-	if c.Forwarded != "" {
-		req.Header.Set(ForwardedHeader, c.Forwarded)
 	}
 	if method == http.MethodPost || method == http.MethodDelete {
 		if sc, ok := dtrace.From(ctx); ok {
@@ -151,24 +125,11 @@ func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 }
 
 // SubmitJob posts a job spec. A cache-served job comes back already
-// terminal with Cached set; a fleet-forwarded one carries Peer — use
-// ForJob to follow it.
+// terminal with Cached set.
 func (c *Client) SubmitJob(ctx context.Context, spec api.JobSpec) (api.JobView, error) {
 	var v api.JobView
 	err := c.postJSON(ctx, "/v1/jobs", spec, &v)
 	return v, err
-}
-
-// ForJob returns the client to keep using for a submitted job: c
-// itself, or a client pointed at the fleet peer that owns it.
-func (c *Client) ForJob(v api.JobView) *Client {
-	if v.Peer == "" || v.Peer == c.Base {
-		return c
-	}
-	peer := New(v.Peer)
-	peer.HTTP = c.HTTP
-	peer.OnServerTiming = c.OnServerTiming
-	return peer
 }
 
 // Job fetches a job's state; the result and attribution are inlined
@@ -362,29 +323,15 @@ func (c *Client) Healthz(ctx context.Context) (api.Stats, error) {
 	return v, err
 }
 
-// Fleet fetches fleet membership and per-peer health.
-func (c *Client) Fleet(ctx context.Context) (api.FleetView, error) {
-	var v api.FleetView
-	err := c.getJSON(ctx, http.MethodGet, "/v1/fleet", nil, &v)
-	return v, err
-}
-
-// Trace fetches a federated trace by ID. localOnly restricts the read
-// to the answering daemon's own span store (the fan-out itself uses
-// this to avoid recursing across the fleet).
-func (c *Client) Trace(ctx context.Context, traceID string, localOnly bool) (api.TraceView, error) {
-	path := "/v1/traces/" + url.PathEscape(traceID)
-	if localOnly {
-		path += "?local=true"
-	}
+// Trace fetches the spans the daemon recorded for one trace ID.
+func (c *Client) Trace(ctx context.Context, traceID string) (api.TraceView, error) {
 	var v api.TraceView
-	err := c.getJSON(ctx, http.MethodGet, path, nil, &v)
+	err := c.getJSON(ctx, http.MethodGet, "/v1/traces/"+url.PathEscape(traceID), nil, &v)
 	return v, err
 }
 
 // Registry fetches the daemon's metric registry as a flat
-// name -> value object (the GET /v1/registry payload) — the
-// machine-readable form /v1/fleet/metrics aggregates across members.
+// name -> value object (the GET /v1/registry payload).
 func (c *Client) Registry(ctx context.Context) (map[string]int64, error) {
 	var m map[string]int64
 	err := c.getJSON(ctx, http.MethodGet, "/v1/registry", nil, &m)

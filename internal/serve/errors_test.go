@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,16 @@ import (
 	"mnpusim/internal/serve/api"
 	"mnpusim/internal/sim"
 )
+
+// manyBogusWorkloads is a cores-8 sweep body listing 32 unknown
+// workload names.
+var manyBogusWorkloads = func() string {
+	names := make([]string, 32)
+	for i := range names {
+		names[i] = fmt.Sprintf("%q", fmt.Sprintf("bogus%d", i))
+	}
+	return `{"cores":8,"workloads":[` + strings.Join(names, ",") + `]}`
+}()
 
 // TestErrorEnvelopeConformance drives every /v1 endpoint into its
 // documented failure modes and verifies each answers the structured
@@ -75,6 +86,9 @@ func TestErrorEnvelopeConformance(t *testing.T) {
 		{"sweep bad body", "POST", "/v1/sweeps", "{not json", 400, api.ErrInvalidRequest, false},
 		{"sweep bad cores", "POST", "/v1/sweeps", `{"cores":16}`, 400, api.ErrInvalidRequest, false},
 		{"sweep bad workload", "POST", "/v1/sweeps", `{"workloads":["nope"]}`, 400, api.ErrInvalidRequest, false},
+		// 32 unknown names at 8 cores would enumerate C(39,8) ~ 6e7 mixes
+		// if the names were not checked first.
+		{"sweep many unknown workloads", "POST", "/v1/sweeps", manyBogusWorkloads, 400, api.ErrInvalidRequest, false},
 		{"sweep bad sharing", "POST", "/v1/sweeps", `{"sharing":["bogus"]}`, 400, api.ErrInvalidRequest, false},
 		{"sweep missing", "GET", "/v1/sweeps/s999", "", 404, api.ErrNotFound, false},
 		{"sweep events missing", "GET", "/v1/sweeps/s999/events", "", 404, api.ErrNotFound, false},

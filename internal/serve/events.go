@@ -63,6 +63,69 @@ func snapshotJSON(snap obs.Snapshot) []byte {
 	return append(b, '}')
 }
 
+// sseStream is one open Server-Sent Events response of the job or
+// sweep events endpoint. Payloads are single-line JSON (json.Marshal
+// emits no newlines), so one data: line carries the exact bytes. Event
+// ids come from the resource's own counter, not the stream's, so a
+// client that reconnects sees ids keep climbing (its Last-Event-ID is
+// never reissued) and can tell replayed state from stale duplicates.
+type sseStream struct {
+	w   http.ResponseWriter
+	fl  http.Flusher
+	seq *atomic.Int64
+}
+
+// startSSE writes the event-stream headers and the retry: reconnect
+// hint — EventSource clients back off this long before redialing,
+// instead of their (often aggressive) default. ok is false when the
+// stream could not be opened; any error response is already written.
+func startSSE(w http.ResponseWriter, seq *atomic.Int64) (st *sseStream, ok bool) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		writeError(w, errf(http.StatusInternalServerError, "streaming unsupported"))
+		return nil, false
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.WriteHeader(http.StatusOK)
+	if _, err := fmt.Fprintf(w, "retry: %d\n\n", sseRetryMS); err != nil {
+		return nil, false
+	}
+	fl.Flush()
+	return &sseStream{w: w, fl: fl, seq: seq}, true
+}
+
+// send writes one event; false means the client has gone away.
+func (st *sseStream) send(name string, payload []byte) bool {
+	if _, err := fmt.Fprintf(st.w, "id: %d\nevent: %s\ndata: %s\n\n",
+		st.seq.Add(1), name, payload); err != nil {
+		return false
+	}
+	st.fl.Flush()
+	return true
+}
+
+func (st *sseStream) sendJSON(name string, v any) bool {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return false
+	}
+	return st.send(name, b)
+}
+
+// terminal sends the stream's one terminal event: "result" carrying the
+// result bytes verbatim, or "failed"/"cancelled" carrying the error.
+func (st *sseStream) terminal(status Status, result []byte, errMsg string) {
+	switch status {
+	case StatusDone:
+		st.send("result", result)
+	case StatusFailed:
+		st.sendJSON("failed", map[string]string{"error": errMsg})
+	case StatusCancelled:
+		st.sendJSON("cancelled", map[string]string{"error": errMsg})
+	}
+}
+
 // handleEvents is GET /v1/jobs/{id}/events: a Server-Sent Events stream
 // of the job's life. While the job runs it carries periodic "progress"
 // events (skip-window and inference counters) and occasional "snapshot"
@@ -76,44 +139,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errf(http.StatusNotFound, "no such job %q", r.PathValue("id")))
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	st, ok := startSSE(w, &job.eventSeq)
 	if !ok {
-		writeError(w, errf(http.StatusInternalServerError, "streaming unsupported"))
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-
-	// Reconnect hint: EventSource clients back off this many ms before
-	// redialing, instead of their (often aggressive) default.
-	if _, err := fmt.Fprintf(w, "retry: %d\n\n", sseRetryMS); err != nil {
-		return
-	}
-	fl.Flush()
-
-	// Payloads are single-line JSON (json.Marshal emits no newlines), so
-	// one data: line carries the exact bytes. Event ids come from the
-	// job's own counter, so a client that reconnects sees ids continue
-	// to climb (its Last-Event-ID is never reissued) and can tell
-	// replayed state from stale duplicates.
-	send := func(name string, payload []byte) bool {
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n",
-			job.eventSeq.Add(1), name, payload); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	sendJSON := func(name string, v any) bool {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		return send(name, b)
-	}
-
-	if !sendJSON("progress", job.progress.view(job.Status())) {
+	if !st.sendJSON("progress", job.progress.view(job.Status())) {
 		return
 	}
 	ticker := time.NewTicker(s.cfg.EventInterval)
@@ -124,29 +154,22 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-job.Done():
-			st := job.Status()
-			if !sendJSON("progress", job.progress.view(st)) {
+			status := job.Status()
+			if !st.sendJSON("progress", job.progress.view(status)) {
 				return
 			}
-			if ab, ok := job.AttributionJSON(); ok && !send("attribution", ab) {
+			if ab, ok := job.AttributionJSON(); ok && !st.send("attribution", ab) {
 				return
 			}
-			switch st {
-			case StatusDone:
-				b, _ := job.ResultJSON()
-				send("result", b)
-			case StatusFailed:
-				sendJSON("failed", map[string]string{"error": job.View(false).Error})
-			case StatusCancelled:
-				sendJSON("cancelled", map[string]string{"error": job.View(false).Error})
-			}
+			result, _ := job.ResultJSON()
+			st.terminal(status, result, job.View(false).Error)
 			return
 		case <-ticker.C:
-			if !sendJSON("progress", job.progress.view(job.Status())) {
+			if !st.sendJSON("progress", job.progress.view(job.Status())) {
 				return
 			}
 			if ticks++; ticks%s.cfg.snapshotEvery == 0 {
-				if !send("snapshot", snapshotJSON(s.reg.Snapshot())) {
+				if !st.send("snapshot", snapshotJSON(s.reg.Snapshot())) {
 					return
 				}
 			}

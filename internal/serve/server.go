@@ -29,7 +29,9 @@
 //	                            ?jobs=true, aggregated result when done)
 //	GET    /v1/sweeps/{id}/events SSE progress stream for a sweep
 //	DELETE /v1/sweeps/{id}      cancel a sweep and its outstanding units
-//	GET    /v1/fleet            fleet membership, health, ring shares
+//	GET    /v1/traces/{id}      the spans this daemon recorded for one
+//	                            trace (W3C trace ID)
+//	GET    /v1/registry         the metric registry as one JSON object
 //	GET    /v1/workloads        built-in workloads, scales, sharing levels
 //	GET    /v1/healthz          liveness and queue occupancy
 //	GET    /metrics             registry in the Prometheus text
@@ -38,11 +40,8 @@
 // Every non-2xx /v1 response body is the structured envelope
 // {"error":{"code","message","retryable"}} (api.ErrorEnvelope).
 //
-// With Peers configured, daemons form a static fleet: each job key has
-// one consistent-hash owner, misrouted submissions are transparently
-// forwarded to it, and sweeps fan their expanded units out across the
-// members. A shared CacheDir lets any member serve any other member's
-// completed results from disk.
+// A shared CacheDir lets separate daemons serve each other's completed
+// results from disk.
 package serve
 
 import (
@@ -64,7 +63,6 @@ import (
 	"mnpusim/internal/obs/hostprof"
 	"mnpusim/internal/obs/recorder"
 	"mnpusim/internal/serve/api"
-	"mnpusim/internal/serve/client"
 	"mnpusim/internal/sim"
 	"mnpusim/internal/workloads"
 )
@@ -107,14 +105,6 @@ type Config struct {
 	// pointed at the same directory. Empty keeps the cache in memory
 	// only.
 	CacheDir string
-	// Peers is the fleet membership: the base URL of every daemon,
-	// including this one, identically ordered and spelled on every
-	// member (the consistent-hash ring is built from these strings).
-	// Empty (or only Self) disables fleet routing.
-	Peers []string
-	// Self is this daemon's own URL within Peers. Required when Peers
-	// is set; must appear in Peers verbatim.
-	Self string
 	// MaxSweeps bounds retained sweep resources; the oldest terminal
 	// sweeps are forgotten beyond it. Zero means 256.
 	MaxSweeps int
@@ -171,21 +161,15 @@ type Server struct {
 	wg    sync.WaitGroup
 
 	mu       sync.Mutex
-	jobs     map[string]*Job
-	order    []string // submission order, for bounded retention
+	jobs     *registry[*Job]
 	nextID   int
 	draining bool
 
-	sweeps      map[string]*Sweep
-	sweepOrder  []string
+	sweeps      *registry[*Sweep]
 	nextSweepID int
 	sweepWG     sync.WaitGroup
 
 	cache *resultCache
-
-	// ring is the fleet's consistent-hash ownership ring; nil when the
-	// daemon runs solo.
-	ring *hashRing
 
 	// tracer and spans are the distributed-tracing layer: the tracer
 	// mints IDs and the bounded store retains finished spans for
@@ -196,15 +180,14 @@ type Server struct {
 
 	jobsSubmitted, jobsDone, jobsFailed, jobsCancelled *obs.Counter
 	cacheHits, diskCacheHits, simulations              *obs.Counter
-	watchdogFires, forwarded, sweepsSubmitted          *obs.Counter
+	watchdogFires, sweepsSubmitted                     *obs.Counter
 	queueDepth, running                                *obs.Gauge
 	queueWait                                          *obs.Histogram
 	cacheLookup                                        map[string]*obs.Histogram // by tier
 }
 
 // New builds the service and starts its worker pool. It fails when the
-// cache directory cannot be prepared or the fleet configuration is
-// inconsistent (Peers without Self, or Self missing from Peers).
+// cache directory cannot be prepared.
 func New(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -240,10 +223,6 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	ring, err := newHashRing(cfg.Peers, cfg.Self)
-	if err != nil {
-		return nil, err
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
@@ -253,10 +232,9 @@ func New(cfg Config) (*Server, error) {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan *Job, cfg.QueueDepth),
-		jobs:       make(map[string]*Job),
-		sweeps:     make(map[string]*Sweep),
+		jobs:       newRegistry[*Job](cfg.MaxJobs),
+		sweeps:     newRegistry[*Sweep](cfg.MaxSweeps),
 		cache:      cache,
-		ring:       ring,
 
 		jobsSubmitted:   reg.Counter("serve.jobs_submitted"),
 		jobsDone:        reg.Counter("serve.jobs_done"),
@@ -266,7 +244,6 @@ func New(cfg Config) (*Server, error) {
 		diskCacheHits:   reg.Counter("serve.disk_cache_hits"),
 		simulations:     reg.Counter("serve.simulations"),
 		watchdogFires:   reg.Counter("serve.watchdog_fires"),
-		forwarded:       reg.Counter("serve.forwarded"),
 		sweepsSubmitted: reg.Counter("serve.sweeps_submitted"),
 		queueDepth:      reg.Gauge("serve.queue_depth"),
 		running:         reg.Gauge("serve.running"),
@@ -278,12 +255,8 @@ func New(cfg Config) (*Server, error) {
 		},
 	}
 	if !cfg.DisableTracing {
-		service := cfg.Self
-		if service == "" {
-			service = "mnpuserved"
-		}
 		s.spans = dtrace.NewStore(cfg.TraceMaxTraces, cfg.TraceMaxSpans)
-		s.tracer = dtrace.NewTracer(service, s.spans)
+		s.tracer = dtrace.NewTracer("mnpuserved", s.spans)
 	}
 	cache.onDiskHit = func() { s.diskCacheHits.Inc() }
 	for i := 0; i < cfg.Workers; i++ {
@@ -369,7 +342,7 @@ func (s *Server) submitPrepared(ctx context.Context, cfg sim.Config, key string,
 		la.End()
 	}
 	if hit {
-		s.register(job)
+		s.jobs.add(job.ID, job)
 		s.mu.Unlock()
 		job.cached = true
 		job.finish(StatusDone, cached.result, cached.attr, "")
@@ -392,7 +365,7 @@ func (s *Server) submitPrepared(ctx context.Context, cfg sim.Config, key string,
 		cancel()
 		return nil, errf(http.StatusServiceUnavailable, "serve: job queue full (%d deep)", s.cfg.QueueDepth)
 	}
-	s.register(job)
+	s.jobs.add(job.ID, job)
 	s.mu.Unlock()
 
 	s.jobsSubmitted.Inc()
@@ -401,32 +374,11 @@ func (s *Server) submitPrepared(ctx context.Context, cfg sim.Config, key string,
 	return job, nil
 }
 
-// register records the job, evicting the oldest terminal jobs beyond
-// the retention bound. Caller holds s.mu.
-func (s *Server) register(job *Job) {
-	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
-	for len(s.jobs) > s.cfg.MaxJobs {
-		evicted := false
-		for i, id := range s.order {
-			if old, ok := s.jobs[id]; ok && old.Status().Terminal() {
-				delete(s.jobs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything live; let the map grow rather than drop state
-		}
-	}
-}
-
 // Job looks up a job by ID.
 func (s *Server) Job(id string) (*Job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobs.byID[id]
 	return j, ok
 }
 
@@ -670,8 +622,8 @@ type Stats = api.Stats
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	draining := s.draining
-	jobs := len(s.jobs)
-	sweeps := len(s.sweeps)
+	jobs := len(s.jobs.byID)
+	sweeps := len(s.sweeps.byID)
 	s.mu.Unlock()
 	st := Stats{
 		Status:     "ok",
@@ -682,7 +634,6 @@ func (s *Server) Stats() Stats {
 		Cached:     s.cache.len(),
 		DiskCached: s.cache.diskLen(),
 		Sweeps:     sweeps,
-		Self:       s.cfg.Self,
 	}
 	if draining {
 		st.Status = "draining"
@@ -706,8 +657,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
 	mux.HandleFunc("GET /v1/sweeps/{id}/events", s.handleSweepEvents)
 	mux.HandleFunc("DELETE /v1/sweeps/{id}", s.handleSweepCancel)
-	mux.HandleFunc("GET /v1/fleet", s.handleFleet)
-	mux.HandleFunc("GET /v1/fleet/metrics", s.handleFleetMetrics)
 	mux.HandleFunc("GET /v1/traces/{id}", s.handleTraceGet)
 	mux.HandleFunc("GET /v1/registry", s.handleRegistry)
 	mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
@@ -729,16 +678,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	// Fleet routing: a submission whose key another member owns is
-	// forwarded there, unless it already was forwarded once (the header
-	// breaks loops when members disagree about the ring).
-	if owner := s.owner(key); owner != "" && r.Header.Get(client.ForwardedHeader) == "" {
-		if view, ok := s.forwardJob(r.Context(), owner, spec); ok {
-			writeJSON(w, http.StatusAccepted, view)
-			return
-		}
-		// Owner unreachable: run it here rather than fail the submit.
-	}
 	job, err := s.submitPrepared(r.Context(), cfg, key, spec.TimeoutMS)
 	if err != nil {
 		writeError(w, err)
@@ -751,66 +690,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, code, job.View(false))
 }
 
-// handleJobsList is GET /v1/jobs: jobs in submission order, optionally
-// filtered with ?status=, paged with ?cursor= (a job ID to resume
-// after) and ?limit= (default 100, max 1000).
+// handleJobsList is GET /v1/jobs: one page of jobs (see listPage).
 func (s *Server) handleJobsList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var filter Status
-	if v := q.Get("status"); v != "" {
-		filter = Status(v)
-		switch filter {
-		case StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled:
-		default:
-			writeError(w, errf(http.StatusBadRequest, "unknown status filter %q", v))
-			return
-		}
+	page, next, err := listPage(s, r, s.jobs)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
-	limit := 100
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeError(w, errf(http.StatusBadRequest, "bad limit %q", v))
-			return
-		}
-		limit = min(n, 1000)
-	}
-	cursor := q.Get("cursor")
-
-	s.mu.Lock()
-	order := make([]string, len(s.order))
-	copy(order, s.order)
-	jobs := make(map[string]*Job, len(s.jobs))
-	for id, j := range s.jobs {
-		jobs[id] = j
-	}
-	s.mu.Unlock()
-
-	start := 0
-	if cursor != "" {
-		found := false
-		for i, id := range order {
-			if id == cursor {
-				start, found = i+1, true
-				break
-			}
-		}
-		if !found {
-			writeError(w, errf(http.StatusBadRequest, "unknown cursor %q", cursor))
-			return
-		}
-	}
-	list := api.JobList{Jobs: []JobView{}}
-	for _, id := range order[start:] {
-		j, ok := jobs[id]
-		if !ok || (filter != "" && j.Status() != filter) {
-			continue
-		}
-		if len(list.Jobs) == limit {
-			list.NextCursor = list.Jobs[limit-1].ID
-			break
-		}
-		list.Jobs = append(list.Jobs, j.View(false))
+	list := api.JobList{Jobs: make([]JobView, len(page)), NextCursor: next}
+	for i, j := range page {
+		list.Jobs[i] = j.View(false)
 	}
 	writeJSON(w, http.StatusOK, list)
 }

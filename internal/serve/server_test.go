@@ -17,6 +17,7 @@ import (
 	"mnpusim/internal/obs"
 	"mnpusim/internal/obs/attrib"
 	"mnpusim/internal/serve/api"
+	"mnpusim/internal/serve/client"
 	"mnpusim/internal/sim"
 )
 
@@ -435,10 +436,23 @@ func TestWorkloadsAndMetricsEndpoints(t *testing.T) {
 	buf := new(bytes.Buffer)
 	_, _ = buf.ReadFrom(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"serve_jobs_submitted 1", "serve_jobs_done 1", "serve_simulations 1"} {
+	for _, want := range []string{
+		"serve_jobs_submitted 1", "serve_jobs_done 1", "serve_simulations 1",
+		`serve_cache_lookup_ns_count{tier="miss"} 1`,
+	} {
 		if !strings.Contains(buf.String(), want+"\n") {
 			t.Errorf("metrics missing %q:\n%s", want, buf.String())
 		}
+	}
+
+	// GET /v1/registry is the JSON twin of the same registry.
+	vals, err := client.New(ts.URL).Registry(context.Background())
+	if err != nil {
+		t.Fatalf("Registry: %v", err)
+	}
+	if vals["serve.simulations"] != 1 || vals["serve.cache_lookup_ns.tier.miss.count"] != 1 {
+		t.Errorf("registry view: simulations=%d miss lookups=%d, want 1 and 1",
+			vals["serve.simulations"], vals["serve.cache_lookup_ns.tier.miss.count"])
 	}
 }
 

@@ -6,19 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"strconv"
-	"strings"
 
 	"mnpusim/internal/config"
 	"mnpusim/internal/experiments"
 	"mnpusim/internal/metrics"
 	"mnpusim/internal/obs/dtrace"
 	"mnpusim/internal/serve/api"
-	"mnpusim/internal/serve/client"
 	"mnpusim/internal/sim"
 	"mnpusim/internal/workloads"
 )
@@ -29,9 +27,8 @@ type SweepSpec = api.SweepSpec
 // sweepUnit is one expanded job of a sweep: a (mix, level) cell of the
 // grid, or one workload's Ideal baseline. The unit list is the sweep's
 // unit of accounting — each unit resolves to exactly one terminal
-// status, locally or on a peer.
+// status.
 type sweepUnit struct {
-	spec      JobSpec
 	cfg       sim.Config
 	key       string
 	workloads []string
@@ -41,15 +38,14 @@ type sweepUnit struct {
 	// Written under the owning sweep's mu.
 	status Status
 	jobID  string
-	peer   string
 	cached bool
 	errMsg string
 	result []byte
 }
 
 // Sweep is one experiment-grid resource: a sampled mix population
-// crossed with sharing levels plus the Ideal baselines, fanned out
-// over the fleet and aggregated into an experiments.SharingResult.
+// crossed with sharing levels plus the Ideal baselines, run on the
+// worker pool and aggregated into an experiments.SharingResult.
 type Sweep struct {
 	ID string
 
@@ -113,9 +109,6 @@ func (sw *Sweep) countsLocked() (p api.SweepProgress) {
 		if u.cached {
 			p.CacheHits++
 		}
-		if u.peer != "" {
-			p.Forwarded++
-		}
 	}
 	return p
 }
@@ -138,7 +131,7 @@ func (sw *Sweep) View(withJobs bool) api.SweepView {
 		Mixes: len(sw.mixes), Total: p.Total,
 		Queued: p.Queued, Running: p.Running, Done: p.Done,
 		Failed: p.Failed, Cancelled: p.Cancelled,
-		CacheHits: p.CacheHits, Forwarded: p.Forwarded,
+		CacheHits: p.CacheHits,
 	}
 	if sw.status == StatusDone {
 		v.Result = json.RawMessage(sw.result)
@@ -148,7 +141,7 @@ func (sw *Sweep) View(withJobs bool) api.SweepView {
 		for i, u := range sw.units {
 			v.Jobs[i] = api.SweepJobView{
 				Workloads: u.workloads, Sharing: u.sharing, Ideal: u.ideal,
-				Key: u.key, JobID: u.jobID, Peer: u.peer,
+				Key: u.key, JobID: u.jobID,
 				Status: u.status, Cached: u.cached, Error: u.errMsg,
 			}
 		}
@@ -184,6 +177,24 @@ func expandSweep(spec SweepSpec) (*Sweep, error) {
 	if len(names) == 0 {
 		names = workloads.Names()
 	}
+	// Check the names before enumerating: the mix population grows as
+	// C(n+cores-1, cores), so a long list of bogus or repeated names
+	// would otherwise materialize millions of mixes before the first
+	// unit fails to resolve.
+	known := make(map[string]bool)
+	for _, w := range workloads.Names() {
+		known[w] = true
+	}
+	listed := make(map[string]bool, len(names))
+	for _, w := range names {
+		if !known[w] {
+			return nil, errf(http.StatusBadRequest, "sweep workload %q unknown (have %v)", w, workloads.Names())
+		}
+		if listed[w] {
+			return nil, errf(http.StatusBadRequest, "sweep workload %q listed twice", w)
+		}
+		listed[w] = true
+	}
 	var levels []sim.Sharing
 	if len(spec.Sharing) == 0 {
 		levels = sim.Levels()
@@ -216,7 +227,7 @@ func expandSweep(spec SweepSpec) (*Sweep, error) {
 			return err
 		}
 		sw.units = append(sw.units, &sweepUnit{
-			spec: js, cfg: cfg, key: key,
+			cfg: cfg, key: key,
 			workloads: wl, sharing: sharing, ideal: ideal,
 			status: StatusQueued,
 		})
@@ -253,7 +264,7 @@ func expandSweep(spec SweepSpec) (*Sweep, error) {
 
 // StartSweep expands and launches a sweep. A trace context carried in
 // ctx (dtrace.With) parents the sweep-coordination span and, through
-// it, every per-unit and job span the fan-out produces.
+// it, every per-unit and job span the sweep produces.
 func (s *Server) StartSweep(ctx context.Context, spec SweepSpec) (*Sweep, error) {
 	sw, err := expandSweep(spec)
 	if err != nil {
@@ -268,7 +279,7 @@ func (s *Server) StartSweep(ctx context.Context, spec SweepSpec) (*Sweep, error)
 	sw.ID = fmt.Sprintf("s%d", s.nextSweepID)
 	sw.ctx, sw.cancel = context.WithCancel(s.baseCtx)
 	sw.status = StatusRunning
-	s.registerSweep(sw)
+	s.sweeps.add(sw.ID, sw)
 	s.mu.Unlock()
 
 	parent, _ := dtrace.From(ctx)
@@ -287,37 +298,16 @@ func (s *Server) StartSweep(ctx context.Context, spec SweepSpec) (*Sweep, error)
 	return sw, nil
 }
 
-// registerSweep records the sweep, evicting the oldest terminal sweeps
-// beyond the retention bound. Caller holds s.mu.
-func (s *Server) registerSweep(sw *Sweep) {
-	s.sweeps[sw.ID] = sw
-	s.sweepOrder = append(s.sweepOrder, sw.ID)
-	for len(s.sweeps) > s.cfg.MaxSweeps {
-		evicted := false
-		for i, id := range s.sweepOrder {
-			if old, ok := s.sweeps[id]; ok && old.Status().Terminal() {
-				delete(s.sweeps, id)
-				s.sweepOrder = append(s.sweepOrder[:i], s.sweepOrder[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break
-		}
-	}
-}
-
 // Sweep looks up a sweep by ID.
 func (s *Server) Sweep(id string) (*Sweep, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
+	sw, ok := s.sweeps.byID[id]
 	return sw, ok
 }
 
-// CancelSweep cancels a sweep: outstanding units resolve as cancelled,
-// in-flight local jobs are cancelled, remote ones best-effort.
+// CancelSweep cancels a sweep: outstanding units resolve as cancelled
+// and in-flight jobs are cancelled.
 func (s *Server) CancelSweep(id string) (*Sweep, bool) {
 	sw, ok := s.Sweep(id)
 	if !ok {
@@ -363,19 +353,15 @@ func (sw *Sweep) setUnit(u *sweepUnit, st Status, errMsg string) {
 	u.status, u.errMsg = st, errMsg
 }
 
-// runSweepUnit resolves one unit: on its consistent-hash owner when a
-// fleet is configured (falling back to local execution if the owner is
-// unreachable — this is what lets a sweep survive a member dying
-// mid-run), locally otherwise.
+// runSweepUnit resolves one unit on this daemon's worker pool,
+// retrying queue-full rejections. The per-unit span parents the unit's
+// job spans through the context handed to submitPrepared.
 func (s *Server) runSweepUnit(sw *Sweep, u *sweepUnit) {
 	if sw.ctx.Err() != nil {
 		sw.setUnit(u, StatusCancelled, "sweep cancelled")
 		return
 	}
-	// The per-unit dispatch span parents the unit's job spans: locally
-	// through the context handed to submitPrepared, remotely through the
-	// traceparent header the client injects on the forwarded submit.
-	uctx := sw.ctx
+	ctx := sw.ctx
 	if ua := s.tracer.StartChild(sw.traceSC, "unit "+strings.Join(u.workloads, "+")); ua != nil {
 		ua.SetAttr("sweep", sw.ID)
 		ua.SetAttr("key", u.key)
@@ -384,104 +370,16 @@ func (s *Server) runSweepUnit(sw *Sweep, u *sweepUnit) {
 		} else {
 			ua.SetAttr("sharing", u.sharing)
 		}
-		uctx = dtrace.With(sw.ctx, ua.Context())
+		ctx = dtrace.With(sw.ctx, ua.Context())
 		defer func() {
 			sw.mu.Lock()
-			st, peer := u.status, u.peer
+			st := u.status
 			sw.mu.Unlock()
 			ua.SetAttr("status", string(st))
-			if peer != "" {
-				ua.SetAttr("peer", peer)
-			}
 			ua.End()
 		}()
 	}
-	if owner := s.owner(u.key); owner != "" {
-		if s.runUnitRemote(uctx, sw, u, owner) {
-			return
-		}
-		s.log.Warn("sweep unit falling back to local run", "sweep", sw.ID, "key", u.key, "owner", owner)
-	}
-	s.runUnitLocal(uctx, sw, u)
-}
 
-// runUnitRemote executes a unit on its owning peer. It reports whether
-// the unit was fully resolved there; false means the caller should run
-// it locally (owner unreachable, rejecting, or drained mid-run). ctx
-// is the unit's trace-carrying context (same cancellation as sw.ctx).
-func (s *Server) runUnitRemote(ctx context.Context, sw *Sweep, u *sweepUnit, owner string) bool {
-	c := s.fleetClient(owner)
-	var view JobView
-	for attempt := 0; ; attempt++ {
-		v, err := c.SubmitJob(ctx, u.spec)
-		if err == nil {
-			view = v
-			break
-		}
-		if sw.ctx.Err() != nil {
-			sw.setUnit(u, StatusCancelled, "sweep cancelled")
-			return true
-		}
-		var ae *client.APIError
-		if errors.As(err, &ae) && ae.Status == http.StatusBadRequest {
-			sw.setUnit(u, StatusFailed, ae.Message)
-			return true
-		}
-		// The owner's queue is full: give it a bounded chance to drain
-		// before claiming the unit locally.
-		if client.IsRetryable(err) && attempt < 20 {
-			select {
-			case <-time.After(50 * time.Millisecond):
-				continue
-			case <-sw.ctx.Done():
-				sw.setUnit(u, StatusCancelled, "sweep cancelled")
-				return true
-			}
-		}
-		return false
-	}
-
-	sw.mu.Lock()
-	if !u.status.Terminal() {
-		u.status, u.jobID, u.peer = StatusRunning, view.ID, owner
-	}
-	sw.mu.Unlock()
-
-	final, err := c.ForJob(view).WaitJob(ctx, view.ID, 0)
-	if err != nil {
-		if sw.ctx.Err() != nil {
-			// Our cancellation, not the peer's failure: release the remote
-			// job so the peer's worker stops burning on it.
-			cctx, ccancel := context.WithTimeout(context.Background(), 2*time.Second)
-			_, _ = c.CancelJob(cctx, view.ID)
-			ccancel()
-			sw.setUnit(u, StatusCancelled, "sweep cancelled")
-			return true
-		}
-		return false // peer died mid-run
-	}
-	switch final.Status {
-	case StatusDone:
-		sw.mu.Lock()
-		if !u.status.Terminal() {
-			u.status, u.cached, u.result = StatusDone, final.Cached, []byte(final.Result)
-		}
-		sw.mu.Unlock()
-		s.forwarded.Inc()
-		return true
-	case StatusFailed:
-		sw.setUnit(u, StatusFailed, final.Error)
-		return true
-	default:
-		// The peer cancelled it (draining); reclaim the unit locally.
-		return false
-	}
-}
-
-// runUnitLocal executes a unit on this daemon's own worker pool,
-// retrying queue-full rejections. ctx carries the unit's trace context
-// into the job's spans.
-func (s *Server) runUnitLocal(ctx context.Context, sw *Sweep, u *sweepUnit) {
 	var job *Job
 	for {
 		j, err := s.submitPrepared(ctx, u.cfg, u.key, sw.spec.TimeoutMS)
@@ -574,13 +472,12 @@ func (s *Server) finishSweep(sw *Sweep) {
 	if sw.span != nil {
 		sw.span.SetAttr("status", string(st))
 		sw.span.SetAttr("cache_hits", strconv.Itoa(p.CacheHits))
-		sw.span.SetAttr("forwarded", strconv.Itoa(p.Forwarded))
 		sw.span.End()
 	}
 	sw.finish(st, result, msg)
 	s.log.Info("sweep finished", "sweep", sw.ID, "status", sw.Status(),
 		"done", p.Done, "failed", p.Failed, "cancelled", p.Cancelled,
-		"cache_hits", p.CacheHits, "forwarded", p.Forwarded)
+		"cache_hits", p.CacheHits)
 }
 
 // aggregate assembles the units into an experiments.SharingResult with
@@ -657,67 +554,17 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sw.View(r.URL.Query().Get("jobs") == "true"))
 }
 
-// handleSweepList is GET /v1/sweeps: sweeps in submission order,
-// optionally filtered with ?status=, paged with ?cursor= (a sweep ID
-// to resume after) and ?limit= (default 100, max 1000) — the same
-// shape as GET /v1/jobs.
+// handleSweepList is GET /v1/sweeps: one page of sweeps, with the
+// same query surface as GET /v1/jobs (see listPage).
 func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	var filter Status
-	if v := q.Get("status"); v != "" {
-		filter = Status(v)
-		switch filter {
-		case StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled:
-		default:
-			writeError(w, errf(http.StatusBadRequest, "unknown status filter %q", v))
-			return
-		}
+	page, next, err := listPage(s, r, s.sweeps)
+	if err != nil {
+		writeError(w, err)
+		return
 	}
-	limit := 100
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			writeError(w, errf(http.StatusBadRequest, "bad limit %q", v))
-			return
-		}
-		limit = min(n, 1000)
-	}
-	cursor := q.Get("cursor")
-
-	s.mu.Lock()
-	order := make([]string, len(s.sweepOrder))
-	copy(order, s.sweepOrder)
-	sweeps := make(map[string]*Sweep, len(s.sweeps))
-	for id, sw := range s.sweeps {
-		sweeps[id] = sw
-	}
-	s.mu.Unlock()
-
-	start := 0
-	if cursor != "" {
-		found := false
-		for i, id := range order {
-			if id == cursor {
-				start, found = i+1, true
-				break
-			}
-		}
-		if !found {
-			writeError(w, errf(http.StatusBadRequest, "unknown cursor %q", cursor))
-			return
-		}
-	}
-	list := api.SweepList{Sweeps: []api.SweepView{}}
-	for _, id := range order[start:] {
-		sw, ok := sweeps[id]
-		if !ok || (filter != "" && sw.Status() != filter) {
-			continue
-		}
-		if len(list.Sweeps) == limit {
-			list.NextCursor = list.Sweeps[limit-1].ID
-			break
-		}
-		list.Sweeps = append(list.Sweeps, sw.View(false))
+	list := api.SweepList{Sweeps: make([]api.SweepView, len(page)), NextCursor: next}
+	for i, sw := range page {
+		list.Sweeps[i] = sw.View(false)
 	}
 	writeJSON(w, http.StatusOK, list)
 }
@@ -741,36 +588,11 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errf(http.StatusNotFound, "no such sweep %q", r.PathValue("id")))
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	st, ok := startSSE(w, &sw.eventSeq)
 	if !ok {
-		writeError(w, errf(http.StatusInternalServerError, "streaming unsupported"))
 		return
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	if _, err := fmt.Fprintf(w, "retry: %d\n\n", sseRetryMS); err != nil {
-		return
-	}
-	fl.Flush()
-
-	send := func(name string, payload []byte) bool {
-		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n",
-			sw.eventSeq.Add(1), name, payload); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	sendJSON := func(name string, v any) bool {
-		b, err := json.Marshal(v)
-		if err != nil {
-			return false
-		}
-		return send(name, b)
-	}
-
-	if !sendJSON("progress", sw.Progress()) {
+	if !st.sendJSON("progress", sw.Progress()) {
 		return
 	}
 	ticker := time.NewTicker(s.cfg.EventInterval)
@@ -780,23 +602,16 @@ func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-sw.Done():
-			if !sendJSON("progress", sw.Progress()) {
+			if !st.sendJSON("progress", sw.Progress()) {
 				return
 			}
 			sw.mu.Lock()
-			st, result, errMsg := sw.status, sw.result, sw.errMsg
+			status, result, errMsg := sw.status, sw.result, sw.errMsg
 			sw.mu.Unlock()
-			switch st {
-			case StatusDone:
-				send("result", result)
-			case StatusFailed:
-				sendJSON("failed", map[string]string{"error": errMsg})
-			case StatusCancelled:
-				sendJSON("cancelled", map[string]string{"error": errMsg})
-			}
+			st.terminal(status, result, errMsg)
 			return
 		case <-ticker.C:
-			if !sendJSON("progress", sw.Progress()) {
+			if !st.sendJSON("progress", sw.Progress()) {
 				return
 			}
 		}

@@ -289,64 +289,114 @@ func TestSweepMatchesExperiments(t *testing.T) {
 	}
 }
 
-// TestJobsListPagination exercises GET /v1/jobs filters and cursors
-// through the typed client.
+// TestJobsListPagination exercises the list surface GET /v1/jobs and
+// GET /v1/sweeps share — cursor pages in submission order, the page
+// limit, and the status filter — through the typed client, once per
+// resource kind.
 func TestJobsListPagination(t *testing.T) {
-	s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
-		return fakeResult(1), nil
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	cl := client.New(ts.URL)
+	pairs := [][]string{{"ncf", "gpt2"}, {"alex", "res"}, {"dlrm", "ds2"}, {"sfrnn", "yt"}, {"ncf", "alex"}}
 	ctx := context.Background()
+	inputs := []struct {
+		name string
+		// submit runs one resource over the pair to completion and
+		// returns its ID.
+		submit func(t *testing.T, cl *client.Client, pair []string) string
+		// list fetches one page of IDs.
+		list func(cl *client.Client, status Status, cursor string, limit int) ([]string, string, error)
+	}{
+		{
+			name: "jobs",
+			submit: func(t *testing.T, cl *client.Client, pair []string) string {
+				v, err := cl.SubmitJob(ctx, api.JobSpec{Workloads: pair})
+				if err != nil {
+					t.Fatalf("SubmitJob: %v", err)
+				}
+				if _, err := cl.WaitJob(ctx, v.ID, 5*time.Millisecond); err != nil {
+					t.Fatalf("WaitJob: %v", err)
+				}
+				return v.ID
+			},
+			list: func(cl *client.Client, status Status, cursor string, limit int) ([]string, string, error) {
+				l, err := cl.ListJobs(ctx, status, cursor, limit)
+				var ids []string
+				for _, j := range l.Jobs {
+					ids = append(ids, j.ID)
+				}
+				return ids, l.NextCursor, err
+			},
+		},
+		{
+			name: "sweeps",
+			submit: func(t *testing.T, cl *client.Client, pair []string) string {
+				v, err := cl.SubmitSweep(ctx, SweepSpec{Cores: 2, Workloads: pair, Sharing: []string{"static"}})
+				if err != nil {
+					t.Fatalf("SubmitSweep: %v", err)
+				}
+				if _, err := cl.WaitSweep(ctx, v.ID, 5*time.Millisecond); err != nil {
+					t.Fatalf("WaitSweep: %v", err)
+				}
+				return v.ID
+			},
+			list: func(cl *client.Client, status Status, cursor string, limit int) ([]string, string, error) {
+				l, err := cl.ListSweeps(ctx, status, cursor, limit)
+				var ids []string
+				for _, sw := range l.Sweeps {
+					ids = append(ids, sw.ID)
+				}
+				return ids, l.NextCursor, err
+			},
+		},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
+				return dualResult(100, 200), nil
+			})
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			cl := client.New(ts.URL)
 
-	pairs := [][2]string{{"ncf", "gpt2"}, {"alex", "res"}, {"dlrm", "ds2"}, {"sfrnn", "yt"}, {"ncf", "alex"}}
-	for _, p := range pairs {
-		v, err := cl.SubmitJob(ctx, api.JobSpec{Workloads: []string{p[0], p[1]}})
-		if err != nil {
-			t.Fatalf("SubmitJob: %v", err)
-		}
-		if _, err := cl.WaitJob(ctx, v.ID, 5*time.Millisecond); err != nil {
-			t.Fatalf("WaitJob: %v", err)
-		}
-	}
+			var want []string
+			for _, p := range pairs {
+				want = append(want, in.submit(t, cl, p))
+			}
 
-	var all []api.JobView
-	cursor := ""
-	pages := 0
-	for {
-		l, err := cl.ListJobs(ctx, "", cursor, 2)
-		if err != nil {
-			t.Fatalf("ListJobs: %v", err)
-		}
-		all = append(all, l.Jobs...)
-		pages++
-		if l.NextCursor == "" {
-			break
-		}
-		cursor = l.NextCursor
-	}
-	if len(all) != len(pairs) || pages < 3 {
-		t.Fatalf("paged %d jobs over %d pages, want %d over >=3", len(all), pages, len(pairs))
-	}
-	for i := 1; i < len(all); i++ {
-		if all[i-1].ID >= all[i].ID && len(all[i-1].ID) >= len(all[i].ID) {
-			t.Errorf("jobs out of submission order: %s before %s", all[i-1].ID, all[i].ID)
-		}
-	}
+			var all []string
+			cursor := ""
+			pages := 0
+			for {
+				ids, next, err := in.list(cl, "", cursor, 2)
+				if err != nil {
+					t.Fatalf("list: %v", err)
+				}
+				all = append(all, ids...)
+				pages++
+				if next == "" {
+					break
+				}
+				cursor = next
+			}
+			if pages < 3 {
+				t.Errorf("paged over %d pages, want >=3", pages)
+			}
+			if strings.Join(all, ",") != strings.Join(want, ",") {
+				t.Errorf("paged IDs %v, want submission order %v", all, want)
+			}
 
-	done, err := cl.ListJobs(ctx, StatusDone, "", 0)
-	if err != nil {
-		t.Fatalf("ListJobs done: %v", err)
-	}
-	if len(done.Jobs) != len(pairs) {
-		t.Errorf("done filter = %d jobs, want %d", len(done.Jobs), len(pairs))
-	}
-	failed, err := cl.ListJobs(ctx, StatusFailed, "", 0)
-	if err != nil {
-		t.Fatalf("ListJobs failed: %v", err)
-	}
-	if len(failed.Jobs) != 0 {
-		t.Errorf("failed filter = %d jobs, want 0", len(failed.Jobs))
+			done, _, err := in.list(cl, StatusDone, "", 0)
+			if err != nil {
+				t.Fatalf("list done: %v", err)
+			}
+			if len(done) != len(pairs) {
+				t.Errorf("done filter = %d entries, want %d", len(done), len(pairs))
+			}
+			failed, _, err := in.list(cl, StatusFailed, "", 0)
+			if err != nil {
+				t.Fatalf("list failed: %v", err)
+			}
+			if len(failed) != 0 {
+				t.Errorf("failed filter = %d entries, want 0", len(failed))
+			}
+		})
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"mnpusim/internal/obs/dtrace"
-	"mnpusim/internal/serve/api"
 	"mnpusim/internal/serve/client"
 	"mnpusim/internal/sim"
 )
@@ -61,111 +59,85 @@ func (idx spanIndex) find(t *testing.T, service, prefix string) dtrace.Span {
 	return found[0]
 }
 
-// TestTraceparentSurvivesForwardedHop submits a traced job to the
-// non-owning fleet member and verifies the trace crosses the forward
-// hop: one trace ID end to end, the submitter records the HTTP and
-// forward spans, the owner records its HTTP handling plus cache
-// lookup, queue wait, and the sim run, and every parent edge links.
-func TestTraceparentSurvivesForwardedHop(t *testing.T) {
-	h := newFleetHarness(t, 2, Config{Workers: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
+// traceService is the service name a daemon stamps on its spans.
+const traceService = "mnpuserved"
+
+// TestTraceparentSoloJob submits a job carrying a W3C traceparent and
+// checks the daemon's trace: one trace ID end to end, the HTTP span
+// parented on the incoming context, the cache lookup, queue wait, and
+// sim run parented on the HTTP span, and the sim run carrying the
+// config fingerprint.
+func TestTraceparentSoloJob(t *testing.T) {
+	s := newStubServer(t, Config{Workers: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
 		return fakeResult(7), nil
 	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
 	spec := ncfSpec()
 	_, key, err := resolveSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ownerIdx, otherIdx := 0, 1
-	if h.servers[0].ring.ownerOf(key) == h.urls[1] {
-		ownerIdx, otherIdx = 1, 0
-	}
-
 	root := testRoot()
 	ctx := dtrace.With(context.Background(), root)
-	cl := client.New(h.urls[otherIdx])
+	cl := client.New(ts.URL)
 	v, err := cl.SubmitJob(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Peer != h.urls[ownerIdx] {
-		t.Fatalf("view.Peer = %q, want owner %q", v.Peer, h.urls[ownerIdx])
-	}
-	if final, err := cl.ForJob(v).WaitJob(ctx, v.ID, 2*time.Millisecond); err != nil || final.Status != StatusDone {
+	if final, err := cl.WaitJob(ctx, v.ID, 2*time.Millisecond); err != nil || final.Status != StatusDone {
 		t.Fatalf("job: %v %v", final.Status, err)
 	}
 
-	// Federated fetch from the submitter must see both members' spans.
-	view, err := cl.Trace(ctx, root.TraceID, false)
+	view, err := cl.Trace(ctx, root.TraceID)
 	if err != nil {
 		t.Fatalf("Trace: %v", err)
 	}
 	idx := indexSpans(t, view.Spans, root.TraceID)
-	if len(idx.byService) != 2 {
-		t.Fatalf("spans from %d services, want 2: %v", len(idx.byService), idx.byService)
+	if len(idx.byService) != 1 {
+		t.Fatalf("spans from %d services, want 1: %v", len(idx.byService), idx.byService)
 	}
-
-	subHTTP := idx.find(t, h.urls[otherIdx], "http POST /v1/jobs")
-	if subHTTP.ParentID != root.SpanID {
-		t.Errorf("submitter http span parent = %q, want incoming traceparent span %q", subHTTP.ParentID, root.SpanID)
-	}
-	fwd := idx.find(t, h.urls[otherIdx], "forward submit")
-	if fwd.ParentID != subHTTP.SpanID {
-		t.Errorf("forward span parent = %q, want submitter http span %q", fwd.ParentID, subHTTP.SpanID)
-	}
-	if fwd.Attrs["owner"] != h.urls[ownerIdx] {
-		t.Errorf("forward span owner attr = %q, want %q", fwd.Attrs["owner"], h.urls[ownerIdx])
-	}
-	ownHTTP := idx.find(t, h.urls[ownerIdx], "http POST /v1/jobs")
-	if ownHTTP.ParentID != fwd.SpanID {
-		t.Errorf("owner http span parent = %q, want forward span %q", ownHTTP.ParentID, fwd.SpanID)
+	httpSpan := idx.find(t, traceService, "http POST /v1/jobs")
+	if httpSpan.ParentID != root.SpanID {
+		t.Errorf("http span parent = %q, want incoming traceparent span %q", httpSpan.ParentID, root.SpanID)
 	}
 	for _, name := range []string{"cache_lookup", "queue_wait", "sim_run"} {
-		sp := idx.find(t, h.urls[ownerIdx], name)
-		if sp.ParentID != ownHTTP.SpanID {
-			t.Errorf("%s span parent = %q, want owner http span %q", name, sp.ParentID, ownHTTP.SpanID)
+		sp := idx.find(t, traceService, name)
+		if sp.ParentID != httpSpan.SpanID {
+			t.Errorf("%s span parent = %q, want http span %q", name, sp.ParentID, httpSpan.SpanID)
 		}
 	}
-	if sr := idx.find(t, h.urls[ownerIdx], "sim_run"); sr.Attrs["fingerprint"] != key {
+	if sr := idx.find(t, traceService, "sim_run"); sr.Attrs["fingerprint"] != key {
 		t.Errorf("sim_run fingerprint = %q, want job key %q", sr.Attrs["fingerprint"], key)
-	}
-
-	// Member views: both present, neither errored.
-	if len(view.Members) != 2 {
-		t.Fatalf("members = %v, want 2 entries", view.Members)
-	}
-	for _, m := range view.Members {
-		if m.Error != "" {
-			t.Errorf("member %s reported error %q", m.URL, m.Error)
-		}
 	}
 }
 
-// TestTraceSweepFanOutThreeMembers drives a traced sweep through a
-// three-member fleet and checks the federated trace: one trace ID, a
-// coordination span parented on the submitting request, one unit span
-// per grid cell, every parent edge resolving, and spans present from
-// every member that executed a unit. It then kills one member and
-// verifies the surviving members still serve a valid partial trace.
-func TestTraceSweepFanOutThreeMembers(t *testing.T) {
-	h := newFleetHarness(t, 3, Config{Workers: 2, SweepParallel: 4}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
+// TestTraceSweepSolo drives a traced sweep and checks the daemon's
+// trace: one trace ID, a coordination span parented on the submitting
+// request, one unit span per grid cell under it, one sim run per
+// distinct unit, and every parent edge resolving.
+func TestTraceSweepSolo(t *testing.T) {
+	s := newStubServer(t, Config{Workers: 2, SweepParallel: 4}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
 		res := sim.Result{GlobalCycles: 200}
 		for i := 0; i < c.Cores(); i++ {
 			res.Cores = append(res.Cores, sim.CoreResult{Net: "stub", Cycles: int64(100 + 10*i)})
 		}
 		return res, nil
 	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
 
 	root := testRoot()
 	ctx := dtrace.With(context.Background(), root)
-	coord := client.New(h.urls[0])
-	sv, err := coord.SubmitSweep(ctx, SweepSpec{
+	cl := client.New(ts.URL)
+	sv, err := cl.SubmitSweep(ctx, SweepSpec{
 		Cores: 2, Workloads: []string{"ncf", "gpt2", "alex"}, Sharing: []string{"static"},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := coord.WaitSweep(ctx, sv.ID, 5*time.Millisecond)
+	final, err := cl.WaitSweep(ctx, sv.ID, 5*time.Millisecond)
 	if err != nil || final.Status != StatusDone {
 		t.Fatalf("sweep: %v %v (%s)", final.Status, err, final.Error)
 	}
@@ -174,28 +146,17 @@ func TestTraceSweepFanOutThreeMembers(t *testing.T) {
 		t.Fatalf("sweep ran %d units, want 9", final.Total)
 	}
 
-	detail, err := coord.Sweep(ctx, sv.ID, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectServices := map[string]bool{h.urls[0]: true}
-	for _, u := range detail.Jobs {
-		if u.Peer != "" {
-			expectServices[u.Peer] = true
-		}
-	}
-
-	view, err := coord.Trace(ctx, root.TraceID, false)
+	view, err := cl.Trace(ctx, root.TraceID)
 	if err != nil {
 		t.Fatalf("Trace: %v", err)
 	}
 	idx := indexSpans(t, view.Spans, root.TraceID)
 
-	httpSpan := idx.find(t, h.urls[0], "http POST /v1/sweeps")
+	httpSpan := idx.find(t, traceService, "http POST /v1/sweeps")
 	if httpSpan.ParentID != root.SpanID {
 		t.Errorf("sweep http span parent = %q, want %q", httpSpan.ParentID, root.SpanID)
 	}
-	sweepSpan := idx.find(t, h.urls[0], "sweep coordinate")
+	sweepSpan := idx.find(t, traceService, "sweep coordinate")
 	if sweepSpan.ParentID != httpSpan.SpanID {
 		t.Errorf("sweep span parent = %q, want http span %q", sweepSpan.ParentID, httpSpan.SpanID)
 	}
@@ -215,7 +176,7 @@ func TestTraceSweepFanOutThreeMembers(t *testing.T) {
 		}
 		if sp.ParentID != "" && sp.ParentID != root.SpanID {
 			if _, ok := idx.byID[sp.ParentID]; !ok {
-				t.Errorf("span %q (service %s) references missing parent %s", sp.Name, sp.Service, sp.ParentID)
+				t.Errorf("span %q references missing parent %s", sp.Name, sp.ParentID)
 			}
 		}
 	}
@@ -224,39 +185,6 @@ func TestTraceSweepFanOutThreeMembers(t *testing.T) {
 	}
 	if sims != 9 {
 		t.Errorf("sim_run spans = %d, want 9 (all units distinct, no cache hits)", sims)
-	}
-	for svc := range expectServices {
-		if len(idx.byService[svc]) == 0 {
-			t.Errorf("no spans from member %s, which executed units", svc)
-		}
-	}
-
-	// Kill a remote member: the federated trace stays serveable, the
-	// dead member surfaces as an errored entry, and the survivors'
-	// spans still share the one trace ID.
-	h.ts[2].Close()
-	partial, err := coord.Trace(ctx, root.TraceID, false)
-	if err != nil {
-		t.Fatalf("Trace after member death: %v", err)
-	}
-	pidx := indexSpans(t, partial.Spans, root.TraceID)
-	if len(pidx.byService[h.urls[0]]) == 0 {
-		t.Error("coordinator spans missing from partial trace")
-	}
-	if len(pidx.byService[h.urls[2]]) != 0 {
-		t.Error("dead member's spans present in partial trace")
-	}
-	deadSeen := false
-	for _, m := range partial.Members {
-		if m.URL == h.urls[2] {
-			deadSeen = true
-			if m.Error == "" {
-				t.Error("dead member entry carries no error")
-			}
-		}
-	}
-	if !deadSeen {
-		t.Error("dead member absent from members list")
 	}
 }
 
@@ -326,50 +254,5 @@ func TestTraceEndpointValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown trace = %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestFleetMetricsAggregates checks /v1/fleet/metrics sums the
-// members' registries into one scrape-legal exposition.
-func TestFleetMetricsAggregates(t *testing.T) {
-	h := newFleetHarness(t, 2, Config{Workers: 1}, func(ctx context.Context, c sim.Config) (sim.Result, error) {
-		return fakeResult(3), nil
-	})
-	// One job on each member, submitted directly so neither forwards.
-	for i := range h.servers {
-		spec := api.JobSpec{Workloads: []string{"ncf"}, Scale: "tiny", Sharing: "static"}
-		if i == 1 {
-			spec.Sharing, spec.Ideal = "", true
-		}
-		job, err := h.servers[i].Submit(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-job.Done():
-		case <-time.After(10 * time.Second):
-			t.Fatal("job stuck")
-		}
-	}
-	resp, err := http.Get(h.urls[0] + "/v1/fleet/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := string(raw)
-	if !strings.Contains(out, "# fleet-metrics: aggregated 2 member(s)") {
-		t.Errorf("exposition missing 2-member aggregation comment:\n%s", out)
-	}
-	// Each member ran one simulation; the fleet-wide counter is their
-	// sum, which no single member's /metrics shows.
-	if !strings.Contains(out, "serve_simulations 2\n") {
-		t.Errorf("exposition missing summed serve_simulations 2:\n%s", out)
-	}
-	if !strings.Contains(out, `serve_cache_lookup_ns_count{tier="miss"} 2`) {
-		t.Errorf("exposition missing tier-labelled cache lookup histogram:\n%s", out)
 	}
 }

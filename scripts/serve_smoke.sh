@@ -9,25 +9,34 @@
 # (plus an "attribution" event carrying the stall-cycle breakdown),
 # checks an identical resubmission is answered from the
 # content-addressed cache (no second simulation), spot-checks the /v1
-# error envelope, cancels an in-flight heavier job, and finally
-# SIGTERMs the daemon and requires a clean drain (exit 0).
+# error envelope and the X-Request-Id/Server-Timing response headers,
+# runs a sampled sweep and requires an identical traced resubmission to
+# be all cache hits, renders that sweep's trace with mnputrace -mode
+# spans, starts a second daemon on the same -cache-dir and requires it
+# to answer a warm job from the shared cache, cancels an in-flight
+# heavier job, and finally SIGTERMs the daemon and requires a clean
+# drain (exit 0).
 #
 # Needs: curl. Uses only POSIX sh + grep/sed so it runs in CI images.
 set -eu
 
 ADDR="127.0.0.1:18931"
 BASE="http://$ADDR"
+ADDR2="127.0.0.1:18933"
+BASE2="http://$ADDR2"
 TMP="${TMPDIR:-/tmp}/mnpusim_serve_smoke.$$"
 mkdir -p "$TMP"
 
 fail() {
 	echo "serve-smoke: FAIL: $*" >&2
 	[ -f "$TMP/served.log" ] && sed 's/^/  daemon: /' "$TMP/served.log" >&2
+	[ -f "$TMP/served2.log" ] && sed 's/^/  daemon2: /' "$TMP/served2.log" >&2
 	exit 1
 }
 
 cleanup() {
 	[ -n "${SERVED_PID:-}" ] && kill "$SERVED_PID" 2>/dev/null || true
+	[ -n "${SERVED2_PID:-}" ] && kill "$SERVED2_PID" 2>/dev/null || true
 	rm -rf "$TMP"
 }
 trap cleanup EXIT
@@ -37,23 +46,56 @@ jfield() {
 	sed -n 's/.*"'"$2"'":"\([^"]*\)".*/\1/p' "$1" | head -n 1
 }
 
+# jnum FILE KEY -> value of a top-level numeric field ("key":123).
+jnum() {
+	sed -n 's/.*"'"$2"'":\([0-9][0-9]*\).*/\1/p' "$1" | head -n 1
+}
+
+# sims -> the daemon's serve_simulations counter.
+sims() {
+	curl -fsS "$BASE/metrics" | awk '$1 == "serve_simulations" { print $2 }'
+}
+
+# sweep_wait ID -> polls until the sweep is terminal; echoes status.
+sweep_wait() {
+	i=0
+	while :; do
+		curl -fsS "$BASE/v1/sweeps/$1" >"$TMP/sweep_poll.json"
+		ST=$(jfield "$TMP/sweep_poll.json" status)
+		case "$ST" in
+		done | failed | cancelled)
+			echo "$ST"
+			return 0
+			;;
+		esac
+		i=$((i + 1))
+		[ "$i" -gt 1200 ] && fail "sweep $1 stuck in $ST"
+		sleep 0.1
+	done
+}
+
+# wait_healthy URL PID -> polls until the daemon answers healthz.
+wait_healthy() {
+	i=0
+	until curl -fsS "$1/v1/healthz" >/dev/null 2>&1; do
+		i=$((i + 1))
+		[ "$i" -gt 100 ] && fail "daemon $1 never became healthy"
+		kill -0 "$2" 2>/dev/null || fail "daemon $1 exited during startup"
+		sleep 0.1
+	done
+}
+
 echo "serve-smoke: building binaries"
 go build -o "$TMP/mnpuserved" ./cmd/mnpuserved
 go build -o "$TMP/mnpusim" ./cmd/mnpusim
 go build -o "$TMP/mnpuload" ./cmd/mnpuload
+go build -o "$TMP/mnputrace" ./cmd/mnputrace
 
 echo "serve-smoke: starting daemon on $ADDR"
 "$TMP/mnpuserved" -addr "$ADDR" -workers 1 -drain-timeout 60s \
-	>"$TMP/served.log" 2>&1 &
+	-cache-dir "$TMP/cache" >"$TMP/served.log" 2>&1 &
 SERVED_PID=$!
-
-i=0
-until curl -fsS "$BASE/v1/healthz" >/dev/null 2>&1; do
-	i=$((i + 1))
-	[ "$i" -gt 100 ] && fail "daemon never became healthy"
-	kill -0 "$SERVED_PID" 2>/dev/null || fail "daemon exited during startup"
-	sleep 0.1
-done
+wait_healthy "$BASE" "$SERVED_PID"
 
 SPEC='{"workloads":["ncf","gpt2"],"scale":"tiny","sharing":"static"}'
 
@@ -104,6 +146,56 @@ grep -q '"error":{"code":"not_found"' "$TMP/err.json" ||
 curl -s -X POST -d '{"workloads":["bogus"]}' "$BASE/v1/jobs" >"$TMP/err2.json"
 grep -q '"code":"invalid_request"' "$TMP/err2.json" ||
 	fail "400 body is not the error envelope: $(cat "$TMP/err2.json")"
+
+echo "serve-smoke: checking request-ID and Server-Timing response headers"
+curl -fsSi "$BASE/v1/healthz" >"$TMP/headers.txt"
+grep -qi '^x-request-id:' "$TMP/headers.txt" || fail "response missing X-Request-Id"
+grep -qi '^server-timing: total;dur=' "$TMP/headers.txt" || fail "response missing Server-Timing"
+
+SWEEP='{"cores":2,"workloads":["ncf","gpt2"],"sharing":["static"],"scale":"tiny","sample":2,"seed":1}'
+
+echo "serve-smoke: running a sampled sweep"
+curl -fsS -X POST -d "$SWEEP" "$BASE/v1/sweeps" >"$TMP/sweep1.json" ||
+	fail "sweep submit rejected"
+SW1=$(jfield "$TMP/sweep1.json" id)
+[ -n "$SW1" ] || fail "no sweep id in $(cat "$TMP/sweep1.json")"
+ST=$(sweep_wait "$SW1")
+[ "$ST" = done ] || fail "sweep ended $ST: $(cat "$TMP/sweep_poll.json")"
+grep -q '"result":{' "$TMP/sweep_poll.json" || fail "done sweep has no aggregated result"
+TOTAL=$(jnum "$TMP/sweep_poll.json" total)
+SIMS=$(sims)
+
+echo "serve-smoke: re-submitting the identical sweep, traced — must be all cache hits"
+TRACE=4bf92f3577b34da6a3ce929d0e0e4736
+curl -fsS -X POST -H "traceparent: 00-$TRACE-00f067aa0ba902b7-01" \
+	-d "$SWEEP" "$BASE/v1/sweeps" >"$TMP/sweep2.json" || fail "traced sweep submit rejected"
+SW2=$(jfield "$TMP/sweep2.json" id)
+ST=$(sweep_wait "$SW2")
+[ "$ST" = done ] || fail "repeat sweep ended $ST"
+HITS=$(jnum "$TMP/sweep_poll.json" cache_hits)
+[ "$HITS" = "$TOTAL" ] || fail "repeat sweep cache hits = $HITS, want $TOTAL"
+[ "$(sims)" = "$SIMS" ] || fail "repeat sweep ran new simulations ($SIMS -> $(sims))"
+
+echo "serve-smoke: rendering the traced sweep with mnputrace -mode spans"
+curl -fsS "$BASE/v1/traces/$TRACE" >"$TMP/trace.json" ||
+	fail "GET /v1/traces/$TRACE failed"
+grep -q '"name":"sweep coordinate"' "$TMP/trace.json" ||
+	fail "trace missing the sweep-coordination span"
+"$TMP/mnputrace" -mode spans -in "$TMP/trace.json" -obs "$TMP/spans.json" \
+	>"$TMP/spans.txt" || fail "mnputrace -mode spans rejected the trace"
+sed 's/^/  /' "$TMP/spans.txt"
+
+echo "serve-smoke: a second daemon on the same -cache-dir must answer a warm job"
+"$TMP/mnpuserved" -addr "$ADDR2" -workers 1 -cache-dir "$TMP/cache" \
+	>"$TMP/served2.log" 2>&1 &
+SERVED2_PID=$!
+wait_healthy "$BASE2" "$SERVED2_PID"
+curl -fsS -X POST -d "$SPEC" "$BASE2/v1/jobs" >"$TMP/warm.json"
+grep -q '"cached":true' "$TMP/warm.json" ||
+	fail "second daemon did not serve the warm job from the shared cache: $(cat "$TMP/warm.json")"
+kill -TERM "$SERVED2_PID"
+wait "$SERVED2_PID" || fail "second daemon exited non-zero"
+SERVED2_PID=""
 
 echo "serve-smoke: cancelling an in-flight heavier job"
 curl -fsS -X POST -d '{"workloads":["ncf","gpt2"],"scale":"small","sharing":"+dwt"}' \
