@@ -78,7 +78,10 @@ type ChannelStats struct {
 	BytesMoved int64
 	// BusBusyCycles counts controller clocks the data bus carried data.
 	BusBusyCycles int64
-	// QueueFullRejects counts enqueue attempts refused for lack of space.
+	// QueueFullRejects counts enqueue attempts refused for lack of
+	// space. It counts host retries, not a simulated event: the MMU's
+	// drain offers a waiting request again every cycle until a slot
+	// frees.
 	QueueFullRejects int64
 }
 
@@ -134,7 +137,7 @@ func (c *channel) tick(now clock.Global) {
 		// Refresh-window bound: a due refresh may be delayed by the
 		// precharge-all sequence, but never by a whole refresh interval
 		// — that would mean fast-forward skipped over the deadline.
-		if t := c.cfg.Timing; t.REFI > 0 {
+		if t := &c.cfg.Timing; t.REFI > 0 {
 			for r := range c.nextRefresh {
 				if c.refreshing[r] <= now {
 					invariant.Check(now < c.nextRefresh[r]+clock.Global(t.REFI),
@@ -173,7 +176,7 @@ func (c *channel) retire(now clock.Global) {
 // handleRefresh performs refresh management for all ranks. It returns
 // true if it consumed the command slot this cycle.
 func (c *channel) handleRefresh(now clock.Global) bool {
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	for r := 0; r < c.cfg.Ranks; r++ {
 		if c.refreshing[r] > now {
 			continue // refresh in progress; bank constraints already set
@@ -367,7 +370,7 @@ func (c *channel) busNeededAt(read bool) clock.Global {
 // or CAS). CAS removes the request from the queue and schedules its
 // completion.
 func (c *channel) issue(now clock.Global, idx int) {
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	p := &c.queue[idx]
 	if c.refreshDue(now, p.loc.Rank) {
 		return // rank is closing for refresh; hold the command
@@ -453,7 +456,7 @@ func (c *channel) canActivate(now clock.Global, loc Location) bool {
 	if now < b.nextActivate {
 		return false
 	}
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	if now < c.lastActivate[loc.Rank]+clock.Global(t.RRDS) {
 		return false
 	}
@@ -464,7 +467,7 @@ func (c *channel) canActivate(now clock.Global, loc Location) bool {
 }
 
 func (c *channel) activate(now clock.Global, loc Location) {
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	b := &c.banks[c.cfg.BankIndex(loc)]
 	if invariant.Enabled {
 		invariant.Check(b.openRow == -1,
@@ -546,7 +549,7 @@ func (c *channel) nextEventAfter(now clock.Global) clock.Global {
 // provided no other command issues in between (any such issue means the
 // channel was ticked, which re-evaluates this horizon).
 func (c *channel) earliestProgress(p *pending) clock.Global {
-	t := c.cfg.Timing
+	t := &c.cfg.Timing
 	b := &c.banks[c.cfg.BankIndex(p.loc)]
 	switch {
 	case b.openRow == p.loc.Row:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mnpusim/internal/clock"
+	"mnpusim/internal/invariant"
 	"mnpusim/internal/mem"
 	"mnpusim/internal/obs"
 )
@@ -18,7 +19,7 @@ type TransferFunc func(now clock.Global, core int, bytes int, class mem.Class)
 type Memory struct {
 	cfg      Config
 	channels []*channel
-	mappers  []Mapper // indexed by core
+	mappers  []*Mapper // indexed by core; nil until routed
 	seq      uint64
 	inflight int
 
@@ -93,7 +94,7 @@ func (m *Memory) SetCoreChannels(core int, channels []int) error {
 		}
 	}
 	for core >= len(m.mappers) {
-		m.mappers = append(m.mappers, Mapper{})
+		m.mappers = append(m.mappers, nil)
 	}
 	if len(channels) == 0 {
 		channels = make([]int, m.cfg.Channels)
@@ -105,8 +106,8 @@ func (m *Memory) SetCoreChannels(core int, channels []int) error {
 	return nil
 }
 
-func (m *Memory) mapperFor(core int) Mapper {
-	if core >= 0 && core < len(m.mappers) && len(m.mappers[core].channels) > 0 {
+func (m *Memory) mapperFor(core int) *Mapper {
+	if core >= 0 && core < len(m.mappers) && m.mappers[core] != nil {
 		return m.mappers[core]
 	}
 	all := make([]int, m.cfg.Channels)
@@ -116,7 +117,7 @@ func (m *Memory) mapperFor(core int) Mapper {
 	mp := NewMapper(m.cfg, all)
 	if core >= 0 {
 		for core >= len(m.mappers) {
-			m.mappers = append(m.mappers, Mapper{})
+			m.mappers = append(m.mappers, nil)
 		}
 		m.mappers[core] = mp
 	}
@@ -126,8 +127,8 @@ func (m *Memory) mapperFor(core int) Mapper {
 // CanAccept reports whether a request from core to addr would be
 // admitted right now.
 func (m *Memory) CanAccept(core int, addr uint64) bool {
-	loc := m.mapperFor(core).Locate(addr)
-	return m.channels[loc.Channel].canAccept()
+	ch, _ := m.mapperFor(core).channelOf(addr)
+	return m.channels[ch].canAccept()
 }
 
 // Enqueue admits r into its channel's controller queue. It returns false
@@ -137,12 +138,23 @@ func (m *Memory) CanAccept(core int, addr uint64) bool {
 //
 //lint:allow wakecontract audited stimulus seam: OnEnqueue re-arms the landing channel, and the Done wrapper's OnComplete re-arms the walk or data consumer at the burst's completion cycle
 func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
-	loc := m.mapperFor(r.Core).Locate(r.Addr)
-	ch := m.channels[loc.Channel]
+	// A full channel refuses a request many times before it admits it,
+	// so only the first attempt decodes the channel; a refused retry
+	// costs one lookup. The full location is decoded on admission.
+	if r.DRAMChannel == 0 {
+		ch, _ := m.mapperFor(r.Core).channelOf(r.Addr)
+		r.DRAMChannel = int32(ch) + 1
+	} else if invariant.Enabled {
+		fresh, _ := m.mapperFor(r.Core).channelOf(r.Addr)
+		invariant.Check(int(r.DRAMChannel)-1 == fresh,
+			"dram: request %d cached channel %d, address %#x decodes to %d", r.ID, r.DRAMChannel-1, r.Addr, fresh)
+	}
+	ch := m.channels[r.DRAMChannel-1]
 	if !ch.canAccept() {
 		ch.stats.QueueFullRejects++
 		return false
 	}
+	loc := m.mapperFor(r.Core).Locate(r.Addr)
 	m.seq++
 	m.inflight++
 	inner := r.Done

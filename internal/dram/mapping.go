@@ -16,7 +16,7 @@ type Location struct {
 
 // BankIndex flattens (rank, bank group, bank) into a per-channel bank
 // index in [0, BanksPerChannel).
-func (c Config) BankIndex(l Location) int {
+func (c *Config) BankIndex(l Location) int {
 	return (l.Rank*c.BankGroups+l.BankGroup)*c.BanksPerGroup + l.Bank
 }
 
@@ -48,7 +48,7 @@ type Mapper struct {
 // non-empty and every channel must exist in cfg; callers reaching this
 // from user input validate first (Memory.SetCoreChannels returns an
 // error), so the checks here guard internal construction only.
-func NewMapper(cfg Config, channels []int) Mapper {
+func NewMapper(cfg Config, channels []int) *Mapper {
 	if invariant.Enabled {
 		invariant.Check(len(channels) > 0, "dram: empty channel set")
 		for _, ch := range channels {
@@ -57,27 +57,34 @@ func NewMapper(cfg Config, channels []int) Mapper {
 	}
 	cp := make([]int, len(channels))
 	copy(cp, channels)
-	return Mapper{cfg: cfg, channels: cp}
+	return &Mapper{cfg: cfg, channels: cp}
 }
 
 // Channels returns the channel set this mapper interleaves across.
-func (m Mapper) Channels() []int { return m.channels }
+func (m *Mapper) Channels() []int { return m.channels }
+
+// channelOf decodes addr's channel and its channel-local block index:
+// the first half of Locate, enough for admission checks that need no
+// bank state.
+//
+// Channel permutation: within each group of n consecutive blocks, the
+// residue-to-channel assignment rotates by a hash of the group index.
+// Without it, a power-of-two access stride (e.g. the column-tiled
+// weight blocks of an FC layer, stride N bytes) camps on a single
+// channel; the rotation is bijective per group, so the mapping stays
+// collision-free and sequential streams still spread perfectly evenly.
+func (m *Mapper) channelOf(addr uint64) (ch int, local uint64) {
+	block := addr / uint64(m.cfg.BlockBytes)
+	n := uint64(len(m.channels))
+	local = block / n
+	return m.channels[(block+rowMix(local))%n], local
+}
 
 // Locate decodes addr. Addresses are block-aligned by construction of
 // the request generator; sub-block bits are ignored.
-func (m Mapper) Locate(addr uint64) Location {
-	c := m.cfg
-	block := addr / uint64(c.BlockBytes)
-	n := uint64(len(m.channels))
-	// Channel permutation: within each group of n consecutive blocks,
-	// rotate the residue-to-channel assignment by a hash of the group
-	// index. Without it, a power-of-two access stride (e.g. the
-	// column-tiled weight blocks of an FC layer, stride N bytes) camps
-	// on a single channel; the rotation is bijective per group, so the
-	// mapping stays collision-free and sequential streams still spread
-	// perfectly evenly.
-	local := block / n
-	ch := m.channels[(block+rowMix(local))%n]
+func (m *Mapper) Locate(addr uint64) Location {
+	c := &m.cfg
+	ch, local := m.channelOf(addr)
 
 	blocksPerRow := uint64(c.RowBytes / c.BlockBytes)
 	col := int(local % blocksPerRow)

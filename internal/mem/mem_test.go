@@ -180,6 +180,61 @@ func TestQueueRemoveAtHeadAndTail(t *testing.T) {
 	}
 }
 
+// TestQueueRemoveAtMatchesSliceModel removes every index from queues of
+// every length whose ring has wrapped (head near the end of the buffer)
+// and compares the survivors, and what later pushes and pops see, with
+// a plain slice.
+func TestQueueRemoveAtMatchesSliceModel(t *testing.T) {
+	const ringCap = 16 // the zero Queue's first allocation
+	for n := 1; n <= ringCap; n++ {
+		for i := 0; i < n; i++ {
+			var q Queue
+			for k := 0; k < ringCap-2; k++ {
+				q.Push(&Request{})
+			}
+			for k := 0; k < ringCap-2; k++ {
+				q.Pop() // head now two slots before the end
+			}
+			var model []uint64
+			for k := 0; k < n; k++ {
+				q.Push(&Request{ID: uint64(k)})
+				model = append(model, uint64(k))
+			}
+			if got := q.RemoveAt(i).ID; got != model[i] {
+				t.Fatalf("n=%d: RemoveAt(%d) = %d, want %d", n, i, got, model[i])
+			}
+			model = append(model[:i], model[i+1:]...)
+			if q.Len() != len(model) {
+				t.Fatalf("n=%d i=%d: Len = %d, want %d", n, i, q.Len(), len(model))
+			}
+			live := 0
+			for _, r := range q.buf {
+				if r != nil {
+					live++
+				}
+			}
+			if live != len(model) {
+				t.Errorf("n=%d i=%d: ring holds %d requests, want %d (stale slot kept)", n, i, live, len(model))
+			}
+			for k, w := range model {
+				if got := q.At(k).ID; got != w {
+					t.Errorf("n=%d i=%d: At(%d) = %d, want %d", n, i, k, got, w)
+				}
+			}
+			q.Push(&Request{ID: 100})
+			model = append(model, 100)
+			for _, w := range model {
+				if got := q.Pop().ID; got != w {
+					t.Fatalf("n=%d i=%d: Pop = %d, want %d", n, i, got, w)
+				}
+			}
+			if !q.Empty() {
+				t.Errorf("n=%d i=%d: queue not empty after draining the model", n, i)
+			}
+		}
+	}
+}
+
 // Property: any sequence of pushes and pops preserves FIFO order.
 func TestQuickQueueFIFOProperty(t *testing.T) {
 	f := func(ops []bool) bool {

@@ -65,6 +65,11 @@ type MMU struct {
 	issueQ []mem.Queue
 	rrNext int
 
+	// Per-tick scratch, one entry per core, reused across ticks: the
+	// drain's blocked cores and the DWS policy's pending walk counts.
+	blocked []bool
+	pending []int
+
 	// Per-cycle TLB port accounting.
 	portCycle clock.Global
 	portUsed  []int
@@ -94,6 +99,8 @@ func New(cfg Config, backend Backend, tables []*PageTable, ids *mem.IDAllocator)
 		mshr:      make([]map[uint64]*mshrEntry, cfg.Cores),
 		issueQ:    make([]mem.Queue, cfg.Cores),
 		portUsed:  make([]int, cfg.Cores),
+		blocked:   make([]bool, cfg.Cores),
+		pending:   make([]int, cfg.Cores),
 		portCycle: -1,
 		stats:     make([]CoreStats, cfg.Cores),
 	}
@@ -238,7 +245,8 @@ func (m *MMU) dispatchWalks(now clock.Global) {
 	// "owner has no queued walks" condition.
 	var pending []int
 	if m.dws != nil {
-		pending = make([]int, m.cfg.Cores)
+		pending = m.pending
+		clear(pending)
 		for _, wr := range m.walkFIFO {
 			pending[wr.core]++
 		}
@@ -388,7 +396,8 @@ const drainWindow = 32
 // core forever (a parity lock a deterministic simulator cannot escape).
 func (m *MMU) drainIssueQueues(now clock.Global) {
 	n := m.cfg.Cores
-	blocked := make([]bool, n)
+	blocked := m.blocked
+	clear(blocked)
 	for {
 		granted := false
 		for i := 0; i < n; i++ {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mnpusim/internal/clock"
+	"mnpusim/internal/dram"
 	"mnpusim/internal/mem"
 )
 
@@ -59,7 +60,7 @@ func testMMUConfig(cores int) Config {
 	}
 }
 
-func newTestMMU(t *testing.T, cfg Config, backend Backend) *MMU {
+func newTestMMU(t testing.TB, cfg Config, backend Backend) *MMU {
 	t.Helper()
 	tables := make([]*PageTable, cfg.Cores)
 	for i := range tables {
@@ -488,5 +489,27 @@ func TestDrainIsGrantFairUnderPeriodicSlots(t *testing.T) {
 	}
 	if a < (a+c)*2/5 || c < (a+c)*2/5 {
 		t.Errorf("grant shares skewed: core0=%d core1=%d", a, c)
+	}
+}
+
+// BenchmarkTickSaturatedBackend times one MMU tick whose drain finds
+// every DRAM channel queue full: each core's drain window is offered to
+// the device and refused, the steady state of a bandwidth-bound co-run.
+func BenchmarkTickSaturatedBackend(b *testing.B) {
+	memory := dram.MustNew(dram.HBM2(2))
+	cfg := testMMUConfig(2)
+	cfg.Disabled = true // direct translation: everything flows via issueQ
+	m := newTestMMU(b, cfg, memory)
+	for i := 0; i < 4*drainWindow; i++ {
+		m.Submit(0, dataReq(0, uint64(i*64), nil))
+		m.Submit(0, dataReq(1, uint64(i*64), nil))
+	}
+	m.Tick(0) // fills the channel queues; the device is never ticked
+	if memory.CanAccept(0, 0) || memory.CanAccept(1, 64) {
+		b.Fatal("device not saturated")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Tick(clock.Global(i + 1))
 	}
 }

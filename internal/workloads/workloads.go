@@ -91,25 +91,46 @@ type Workload struct {
 	Net   model.Network
 }
 
+// table maps each short name to its constructor, in the paper's Table 1
+// order. Names, All and ByName are all driven from it, so ByName builds
+// only the network it returns.
+var table = []struct {
+	short string
+	build func(Scale) Workload
+}{
+	{"res", ResNet50},
+	{"yt", YoloTiny},
+	{"alex", AlexNet},
+	{"sfrnn", SelfishRNN},
+	{"ds2", DeepSpeech2},
+	{"dlrm", DLRM},
+	{"ncf", NCF},
+	{"gpt2", GPT2},
+}
+
 // Names lists the eight short names in the paper's Table 1 order.
 func Names() []string {
-	return []string{"res", "yt", "alex", "sfrnn", "ds2", "dlrm", "ncf", "gpt2"}
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.short
+	}
+	return out
 }
 
 // All returns the eight benchmarks at the given scale, in Table 1 order.
 func All(s Scale) []Workload {
-	return []Workload{
-		ResNet50(s), YoloTiny(s), AlexNet(s),
-		SelfishRNN(s), DeepSpeech2(s),
-		DLRM(s), NCF(s), GPT2(s),
+	out := make([]Workload, len(table))
+	for i, e := range table {
+		out[i] = e.build(s)
 	}
+	return out
 }
 
 // ByName returns the named benchmark at the given scale.
 func ByName(short string, s Scale) (Workload, error) {
-	for _, w := range All(s) {
-		if w.Short == short {
-			return w, nil
+	for _, e := range table {
+		if e.short == short {
+			return e.build(s), nil
 		}
 	}
 	valid := Names()

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"mnpusim/internal/model"
@@ -60,6 +61,22 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("nope", ScaleTiny); err == nil {
 		t.Error("unknown name accepted")
+	}
+}
+
+// TestByNameMatchesAll checks that building one network by name gives
+// exactly the entry All returns for it, at every scale.
+func TestByNameMatchesAll(t *testing.T) {
+	for _, s := range []Scale{ScaleTiny, ScaleSmall, ScalePaper} {
+		for i, w := range All(s) {
+			got, err := ByName(Names()[i], s)
+			if err != nil {
+				t.Fatalf("ByName(%s, %s): %v", Names()[i], s, err)
+			}
+			if !reflect.DeepEqual(got, w) {
+				t.Errorf("ByName(%s, %s) differs from All(%s)[%d]", Names()[i], s, s, i)
+			}
+		}
 	}
 }
 
