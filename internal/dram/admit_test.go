@@ -25,9 +25,10 @@ func addrOnChannel(t testing.TB, mp *Mapper, ch int, start uint64, n int) uint64
 }
 
 // TestRejectedRequestAdmittedWithFreshLocation refuses a request on a
-// full channel several times, then admits it, and checks that each
-// refusal adds exactly one to that channel's QueueFullRejects and that
-// the admitted request queues the location a fresh decode gives.
+// full channel several times, then admits it, and checks that the
+// request adds exactly one to that channel's QueueFullRejects however
+// often it is refused, and that the admitted request queues the
+// location a fresh decode gives.
 func TestRejectedRequestAdmittedWithFreshLocation(t *testing.T) {
 	cfg := HBM2(4)
 	cfg.QueueDepth = 2
@@ -54,7 +55,7 @@ func TestRejectedRequestAdmittedWithFreshLocation(t *testing.T) {
 		for ch, cs := range st.PerChannel {
 			want := int64(0)
 			if ch == target {
-				want = int64(i)
+				want = 1
 			}
 			if cs.QueueFullRejects != want {
 				t.Fatalf("after %d refusals channel %d counts %d rejects, want %d", i, ch, cs.QueueFullRejects, want)
@@ -78,8 +79,37 @@ func TestRejectedRequestAdmittedWithFreshLocation(t *testing.T) {
 	if got, want := q[len(q)-1].loc, fresh.Locate(addr); got != want {
 		t.Errorf("admitted location %+v, fresh decode %+v", got, want)
 	}
-	if got := tm.m.Stats().PerChannel[target].QueueFullRejects; got != refusals {
-		t.Errorf("admission changed the reject count to %d, want %d", got, refusals)
+	if got := tm.m.Stats().PerChannel[target].QueueFullRejects; got != 1 {
+		t.Errorf("admission changed the reject count to %d, want 1", got)
+	}
+}
+
+// TestQueueFullRejectsCountsRequests checks that QueueFullRejects counts
+// refused requests, not refused attempts: one request refused N times
+// counts once, and a second refused request counts once more.
+func TestQueueFullRejectsCountsRequests(t *testing.T) {
+	cfg := HBM2(1)
+	cfg.QueueDepth = 1
+	tm := newTestMemory(t, cfg)
+	if !tm.m.Enqueue(tm.now, tm.request(0, 0, mem.Read, nil)) {
+		t.Fatal("fill request refused")
+	}
+	a := tm.request(0, 64, mem.Read, nil)
+	for i := 0; i < 10; i++ {
+		if tm.m.Enqueue(tm.now, a) {
+			t.Fatal("full queue admitted a request")
+		}
+	}
+	if got := tm.m.Stats().Totals().QueueFullRejects; got != 1 {
+		t.Errorf("one request refused 10 times counts %d rejects, want 1", got)
+	}
+	b := tm.request(0, 128, mem.Read, nil)
+	for i := 0; i < 3; i++ {
+		tm.m.Enqueue(tm.now, b)
+		tm.m.Enqueue(tm.now, a)
+	}
+	if got := tm.m.Stats().Totals().QueueFullRejects; got != 2 {
+		t.Errorf("two refused requests count %d rejects, want 2", got)
 	}
 }
 

@@ -78,10 +78,10 @@ type ChannelStats struct {
 	BytesMoved int64
 	// BusBusyCycles counts controller clocks the data bus carried data.
 	BusBusyCycles int64
-	// QueueFullRejects counts enqueue attempts refused for lack of
-	// space. It counts host retries, not a simulated event: the MMU's
-	// drain offers a waiting request again every cycle until a slot
-	// frees.
+	// QueueFullRejects counts requests that found this channel's queue
+	// full when first offered. A request refused again before it is
+	// admitted is not counted again, so the count does not depend on
+	// how often the MMU's drain retries.
 	QueueFullRejects int64
 }
 

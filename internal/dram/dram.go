@@ -132,16 +132,18 @@ func (m *Memory) CanAccept(core int, addr uint64) bool {
 }
 
 // Enqueue admits r into its channel's controller queue. It returns false
-// (and leaves r untouched) if the queue is full; the caller should retry
-// on a later cycle. The request's Done callback fires when its data
-// burst completes.
+// if the queue is full, leaving r untouched except for r.DRAMChannel,
+// which names the full channel; the caller should retry on a later
+// cycle. The request's Done callback fires when its data burst
+// completes.
 //
 //lint:allow wakecontract audited stimulus seam: OnEnqueue re-arms the landing channel, and the Done wrapper's OnComplete re-arms the walk or data consumer at the burst's completion cycle
 func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
-	// A full channel refuses a request many times before it admits it,
-	// so only the first attempt decodes the channel; a refused retry
+	// A full channel may refuse a request many times before it admits
+	// it, so only the first attempt decodes the channel; a refused retry
 	// costs one lookup. The full location is decoded on admission.
-	if r.DRAMChannel == 0 {
+	first := r.DRAMChannel == 0
+	if first {
 		ch, _ := m.mapperFor(r.Core).channelOf(r.Addr)
 		r.DRAMChannel = int32(ch) + 1
 	} else if invariant.Enabled {
@@ -151,7 +153,9 @@ func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
 	}
 	ch := m.channels[r.DRAMChannel-1]
 	if !ch.canAccept() {
-		ch.stats.QueueFullRejects++
+		if first {
+			ch.stats.QueueFullRejects++
+		}
 		return false
 	}
 	loc := m.mapperFor(r.Core).Locate(r.Addr)

@@ -2,6 +2,7 @@ package mmu
 
 import (
 	"fmt"
+	"slices"
 
 	"mnpusim/internal/clock"
 	"mnpusim/internal/invariant"
@@ -11,6 +12,16 @@ import (
 
 // Backend is the memory system the MMU issues physical requests into;
 // *dram.Memory satisfies it.
+//
+// The drain relies on what Enqueue reports about a refusal. A backend
+// that refuses a request for lack of space sets r.DRAMChannel to the
+// request's channel plus one, and decides by channel alone: while a
+// channel refuses one request it refuses every request that maps to it.
+// A channel that refused stays refusing until the backend next ticks,
+// because between its ticks only admissions change its queues. The
+// drain therefore re-offers only the oldest waiting request of each
+// channel, at most once per cycle. A request refused with DRAMChannel
+// left at zero is offered again on every drain pass instead.
 type Backend interface {
 	CanAccept(core int, addr uint64) bool
 	Enqueue(now clock.Global, r *mem.Request) bool
@@ -65,6 +76,11 @@ type MMU struct {
 	issueQ []mem.Queue
 	rrNext int
 
+	// stalls[core] summarises the refused head of core's drain window.
+	stalls []stall
+	// refusedAt[ch] is the last cycle DRAM channel ch refused a request.
+	refusedAt []clock.Global
+
 	// Per-tick scratch, one entry per core, reused across ticks: the
 	// drain's blocked cores and the DWS policy's pending walk counts.
 	blocked []bool
@@ -99,6 +115,7 @@ func New(cfg Config, backend Backend, tables []*PageTable, ids *mem.IDAllocator)
 		mshr:      make([]map[uint64]*mshrEntry, cfg.Cores),
 		issueQ:    make([]mem.Queue, cfg.Cores),
 		portUsed:  make([]int, cfg.Cores),
+		stalls:    make([]stall, cfg.Cores),
 		blocked:   make([]bool, cfg.Cores),
 		pending:   make([]int, cfg.Cores),
 		portCycle: -1,
@@ -418,18 +435,138 @@ func (m *MMU) drainIssueQueues(now clock.Global) {
 	}
 }
 
+// stall summarises the head of a core's issue queue that the drain has
+// offered and the backend refused: entries [0, n), each with a known
+// channel. chans lists their distinct channels, each with the index of
+// its oldest entry, in index order. The summary records which channel
+// each entry waits on, never whether that channel is still full, so it
+// stays valid until an entry is removed from the queue.
+type stall struct {
+	n     int
+	chans []waitChan
+}
+
+// waitChan is a channel and the queue index of its oldest waiting entry.
+type waitChan struct {
+	ch, idx int
+}
+
 // drainOne admits the oldest admissible request (within drainWindow) of
-// core's issue queue into the backend.
+// core's issue queue into the backend. Among the refused entries [0, n)
+// only each channel's oldest can be the first admissible one, so it
+// re-offers those, in index order and skipping channels that already
+// refused this cycle, then offers the entries after n in order. It
+// admits the same request as offering every window entry in order.
 func (m *MMU) drainOne(now clock.Global, core int) bool {
 	q := &m.issueQ[core]
-	limit := min(q.Len(), drainWindow)
-	for i := 0; i < limit; i++ {
-		if m.backend.Enqueue(now, q.At(i)) {
-			q.RemoveAt(i)
+	s := &m.stalls[core]
+	if invariant.Enabled {
+		m.checkStall(core)
+	}
+	for k, w := range s.chans {
+		if m.refusedThisCycle(w.ch, now) {
+			continue
+		}
+		if m.backend.Enqueue(now, q.At(w.idx)) {
+			m.removeWaiter(core, k)
 			return true
+		}
+		m.markRefused(w.ch, now)
+	}
+	grouped := true
+	for i, limit := s.n, min(q.Len(), drainWindow); i < limit; i++ {
+		r := q.At(i)
+		ch := int(r.DRAMChannel) - 1
+		if ch < 0 || !m.refusedThisCycle(ch, now) {
+			if m.backend.Enqueue(now, r) {
+				q.RemoveAt(i) // i is at or past n: the summary is unchanged
+				return true
+			}
+			if ch = int(r.DRAMChannel) - 1; ch >= 0 {
+				m.markRefused(ch, now)
+			}
+		}
+		// A refusal without a channel ends the summary: that entry and
+		// every later one are offered again on each pass.
+		if grouped = grouped && ch >= 0; grouped {
+			s.add(ch, i)
 		}
 	}
 	return false
+}
+
+func (m *MMU) refusedThisCycle(ch int, now clock.Global) bool {
+	return ch < len(m.refusedAt) && m.refusedAt[ch] == now
+}
+
+func (m *MMU) markRefused(ch int, now clock.Global) {
+	for ch >= len(m.refusedAt) {
+		m.refusedAt = append(m.refusedAt, -1)
+	}
+	m.refusedAt[ch] = now
+}
+
+// add extends the summary by entry i, refused on channel ch.
+func (s *stall) add(ch, i int) {
+	s.n = i + 1
+	for _, w := range s.chans {
+		if w.ch == ch {
+			return
+		}
+	}
+	s.chans = append(s.chans, waitChan{ch: ch, idx: i})
+}
+
+// removeWaiter removes the oldest waiter of s.chans[k], just admitted,
+// from core's issue queue and repairs the summary: later entries move
+// down one index, and the channel's next-oldest entry, if any, takes
+// its place.
+func (m *MMU) removeWaiter(core, k int) {
+	q := &m.issueQ[core]
+	s := &m.stalls[core]
+	w := s.chans[k]
+	q.RemoveAt(w.idx)
+	s.n--
+	s.chans = slices.Delete(s.chans, k, k+1)
+	for j := k; j < len(s.chans); j++ {
+		s.chans[j].idx--
+	}
+	for i := w.idx; i < s.n; i++ {
+		if int(q.At(i).DRAMChannel)-1 == w.ch {
+			at := k
+			for at < len(s.chans) && s.chans[at].idx < i {
+				at++
+			}
+			s.chans = slices.Insert(s.chans, at, waitChan{ch: w.ch, idx: i})
+			return
+		}
+	}
+}
+
+// checkStall verifies core's stall summary against its issue queue.
+func (m *MMU) checkStall(core int) {
+	q := &m.issueQ[core]
+	s := &m.stalls[core]
+	invariant.Check(s.n <= min(q.Len(), drainWindow),
+		"mmu: core %d stall summary covers %d entries of a %d-entry window", core, s.n, min(q.Len(), drainWindow))
+	for k, w := range s.chans {
+		invariant.Check(k == 0 || s.chans[k-1].idx < w.idx,
+			"mmu: core %d waiting channels out of index order: %v", core, s.chans)
+		invariant.Check(w.idx < s.n && int(q.At(w.idx).DRAMChannel)-1 == w.ch,
+			"mmu: core %d waiting channel %d names entry %d, not one of its requests", core, w.ch, w.idx)
+		for _, v := range s.chans[:k] {
+			invariant.Check(v.ch != w.ch, "mmu: core %d lists channel %d twice: %v", core, w.ch, s.chans)
+		}
+	}
+	for i := 0; i < s.n; i++ {
+		ch := int(q.At(i).DRAMChannel) - 1
+		if ch < 0 {
+			continue
+		}
+		k := slices.IndexFunc(s.chans, func(w waitChan) bool { return w.ch == ch })
+		invariant.Check(k >= 0 && s.chans[k].idx <= i,
+			"mmu: core %d entry %d waits on channel %d, missing from %v", core, i, ch, s.chans)
+	}
 }
 
 // NextEventAfter returns the earliest global cycle at which the MMU

@@ -493,8 +493,8 @@ func TestDrainIsGrantFairUnderPeriodicSlots(t *testing.T) {
 }
 
 // BenchmarkTickSaturatedBackend times one MMU tick whose drain finds
-// every DRAM channel queue full: each core's drain window is offered to
-// the device and refused, the steady state of a bandwidth-bound co-run.
+// every DRAM channel queue full, the steady state of a bandwidth-bound
+// co-run: each waited-on channel is offered one request and refuses it.
 func BenchmarkTickSaturatedBackend(b *testing.B) {
 	memory := dram.MustNew(dram.HBM2(2))
 	cfg := testMMUConfig(2)

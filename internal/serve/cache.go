@@ -28,6 +28,12 @@ type cachedResult struct {
 // named "<key>.mnpuc".
 const cacheFileExt = ".mnpuc"
 
+// cacheVersion is the header version this build writes and reads. It
+// changes whenever the stored result bytes of an unchanged config
+// would differ; version 2 entries carry QueueFullRejects as a count of
+// refused requests, version 1 entries as a count of refused attempts.
+const cacheVersion = 2
+
 // cacheHeader is the first line of a cache file: a JSON object followed
 // by exactly ResultLen + AttrLen payload bytes. Sum is the hex SHA-256
 // of the concatenated payload, so truncation and bit rot are both
@@ -101,9 +107,9 @@ func newResultCache(maxEntries int, dir string, log *slog.Logger) (*resultCache,
 }
 
 // warm scans the cache directory, validating each entry's header and
-// indexing the well-formed ones. Corrupt or truncated files are
-// skipped and logged, never fatal; stale temp files from a crashed
-// writer are removed.
+// indexing the well-formed ones. Corrupt or truncated files, and files
+// of another cacheVersion, are skipped and logged, never fatal; stale
+// temp files from a crashed writer are removed.
 func (c *resultCache) warm() error {
 	entries, err := os.ReadDir(c.dir)
 	if err != nil {
@@ -123,7 +129,7 @@ func (c *resultCache) warm() error {
 		}
 		key := strings.TrimSuffix(name, cacheFileExt)
 		if _, err := c.readFile(key); err != nil {
-			c.logf("skipping corrupt cache file", "file", name, "err", err)
+			c.logf("skipping unreadable cache file", "file", name, "err", err)
 			continue
 		}
 		c.index[key] = struct{}{}
@@ -267,8 +273,8 @@ func (c *resultCache) readFile(key string) (cachedResult, error) {
 	if err := json.Unmarshal(line, &h); err != nil {
 		return cachedResult{}, fmt.Errorf("header: %w", err)
 	}
-	if h.V != 1 {
-		return cachedResult{}, fmt.Errorf("unsupported version %d", h.V)
+	if h.V != cacheVersion {
+		return cachedResult{}, fmt.Errorf("unsupported version %d, want %d", h.V, cacheVersion)
 	}
 	if h.Key != key {
 		return cachedResult{}, fmt.Errorf("key %q does not match filename", h.Key)
@@ -304,7 +310,7 @@ func (c *resultCache) writeFile(key string, v cachedResult) error {
 	payload = append(payload, v.attr...)
 	sum := sha256.Sum256(payload)
 	header, err := json.Marshal(cacheHeader{
-		V: 1, Key: key,
+		V: cacheVersion, Key: key,
 		ResultLen: len(v.result), AttrLen: len(v.attr),
 		Sum: hex.EncodeToString(sum[:]),
 	})

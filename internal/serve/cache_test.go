@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -219,4 +222,88 @@ func TestSharedCacheAcrossServers(t *testing.T) {
 	if b.diskCacheHits.Value() == 0 {
 		t.Error("second server recorded no disk cache hits")
 	}
+}
+
+// TestCacheOldVersionResimulates verifies that an entry written under an
+// earlier cacheVersion is skipped, with a log line, by the warm scan, and
+// that its job simulates again and is stored at the current version.
+func TestCacheOldVersionResimulates(t *testing.T) {
+	dir := t.TempDir()
+	var sims atomic.Int64
+	stub := func(ctx context.Context, c sim.Config) (sim.Result, error) {
+		sims.Add(1)
+		return fakeResult(3), nil
+	}
+	a := newStubServer(t, Config{Workers: 1, CacheDir: dir}, stub)
+	jA, err := a.Submit(ncfSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vA := waitTerminal(t, a, jA.ID).View(true)
+	if vA.Status != StatusDone {
+		t.Fatalf("first run: status %s", vA.Status)
+	}
+
+	// Rewrite the entry as version 1, payload and checksum intact.
+	path := filepath.Join(dir, vA.Key+cacheFileExt)
+	readHeader := func() (cacheHeader, []byte) {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line, payload, _ := bytes.Cut(raw, []byte("\n"))
+		var h cacheHeader
+		if err := json.Unmarshal(line, &h); err != nil {
+			t.Fatal(err)
+		}
+		return h, payload
+	}
+	h, payload := readHeader()
+	h.V = 1
+	line, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(append(line, '\n'), payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	logs := &syncBuffer{}
+	b := newStubServer(t, Config{Workers: 1, CacheDir: dir, Logger: slog.New(slog.NewTextHandler(logs, nil))}, stub)
+	if got := logs.String(); !strings.Contains(got, "skipping unreadable cache file") || !strings.Contains(got, "unsupported version 1") {
+		t.Errorf("warm scan did not log the version-1 entry; log:\n%s", got)
+	}
+	jB, err := b.Submit(ncfSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vB := waitTerminal(t, b, jB.ID).View(true)
+	if vB.Status != StatusDone || vB.Cached {
+		t.Fatalf("after the version-1 entry: status %s cached %v, want a fresh run", vB.Status, vB.Cached)
+	}
+	if sims.Load() != 2 {
+		t.Errorf("simulations = %d, want 2: the version-1 entry must not be served", sims.Load())
+	}
+	if h, _ := readHeader(); h.V != cacheVersion {
+		t.Errorf("re-simulated entry stored at version %d, want %d", h.V, cacheVersion)
+	}
+}
+
+// syncBuffer is a goroutine-safe log sink.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }
