@@ -59,6 +59,9 @@ type channel struct {
 	// lastTick tracks tick monotonicity under -tags=invariants.
 	lastTick clock.Global
 
+	// retired finishes a request whose burst completed: Memory.complete.
+	retired func(ch int, now clock.Global, r *mem.Request)
+
 	// obs, if non-nil, receives the command-stream probe events (CAS
 	// issue, row hit/miss/conflict, refresh). Set via Memory.SetObs.
 	obs obs.Sink
@@ -85,10 +88,11 @@ type ChannelStats struct {
 	QueueFullRejects int64
 }
 
-func newChannel(cfg Config, id int) *channel {
+func newChannel(cfg Config, id int, retired func(ch int, now clock.Global, r *mem.Request)) *channel {
 	ch := &channel{
 		cfg:          cfg,
 		id:           id,
+		retired:      retired,
 		banks:        make([]bank, cfg.BanksPerChannel()),
 		nextCASGroup: make([]clock.Global, cfg.Ranks*cfg.BankGroups),
 		lastActivate: make([]clock.Global, cfg.Ranks),
@@ -165,7 +169,7 @@ func (c *channel) retire(now clock.Global) {
 	out := c.completions[:0]
 	for _, cmp := range c.completions {
 		if cmp.at <= now {
-			cmp.req.Complete(now)
+			c.retired(c.id, now, cmp.req)
 		} else {
 			out = append(out, cmp)
 		}

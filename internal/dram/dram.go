@@ -54,8 +54,9 @@ func New(cfg Config) (*Memory, error) {
 	}
 	m := &Memory{cfg: cfg}
 	m.channels = make([]*channel, cfg.Channels)
+	retired := m.complete
 	for i := range m.channels {
-		m.channels[i] = newChannel(cfg, i)
+		m.channels[i] = newChannel(cfg, i, retired)
 	}
 	return m, nil
 }
@@ -137,7 +138,7 @@ func (m *Memory) CanAccept(core int, addr uint64) bool {
 // cycle. The request's Done callback fires when its data burst
 // completes.
 //
-//lint:allow wakecontract audited stimulus seam: OnEnqueue re-arms the landing channel, and the Done wrapper's OnComplete re-arms the walk or data consumer at the burst's completion cycle
+//lint:allow wakecontract audited stimulus seam: OnEnqueue re-arms the landing channel, and OnComplete, called when the burst retires, re-arms the walk or data consumer at its completion cycle
 func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
 	// A full channel may refuse a request many times before it admits
 	// it, so only the first attempt decodes the channel; a refused retry
@@ -161,33 +162,33 @@ func (m *Memory) Enqueue(now clock.Global, r *mem.Request) bool {
 	loc := m.mapperFor(r.Core).Locate(r.Addr)
 	m.seq++
 	m.inflight++
-	inner := r.Done
-	chIdx := int32(loc.Channel)
-	r.Done = func(done clock.Global, rr *mem.Request) {
-		m.inflight--
-		if m.obs != nil {
-			m.obs.Emit(obs.Event{Cycle: done, Kind: obs.KindTransfer, Core: int32(rr.Core),
-				Unit: chIdx, A: int64(rr.Size), B: int64(rr.Class)})
-		}
-		if m.OnTransfer != nil {
-			m.OnTransfer(done, rr.Core, int(rr.Size), rr.Class)
-		}
-		if inner != nil {
-			inner(done, rr)
-		}
-		if m.OnComplete != nil {
-			m.OnComplete(done, rr)
-		}
-	}
 	ch.enqueue(r, loc, m.seq)
 	if m.obs != nil {
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindDRAMEnqueue, Core: int32(r.Core),
-			Unit: chIdx, A: int64(len(ch.queue))})
+			Unit: int32(loc.Channel), A: int64(len(ch.queue))})
 	}
 	if m.OnEnqueue != nil {
 		m.OnEnqueue(now, loc.Channel)
 	}
 	return true
+}
+
+// complete finishes r, whose burst on channel ch retired at cycle done:
+// the device's accounting and hooks run around r's own Done, which is
+// left as the requester set it so admission allocates nothing.
+func (m *Memory) complete(ch int, done clock.Global, r *mem.Request) {
+	m.inflight--
+	if m.obs != nil {
+		m.obs.Emit(obs.Event{Cycle: done, Kind: obs.KindTransfer, Core: int32(r.Core),
+			Unit: int32(ch), A: int64(r.Size), B: int64(r.Class)})
+	}
+	if m.OnTransfer != nil {
+		m.OnTransfer(done, r.Core, int(r.Size), r.Class)
+	}
+	r.Complete(done)
+	if m.OnComplete != nil {
+		m.OnComplete(done, r)
+	}
 }
 
 // Tick advances every channel controller by one global cycle.

@@ -37,7 +37,11 @@ type CoreStats struct {
 	WalkCycles      int64 // sum of walk latencies (global cycles)
 	MaxWalkCycles   int64
 	PortStalls      int64 // Submit rejections: TLB ports exhausted
-	MSHRStalls      int64 // Submit rejections: pending-walk limit
+	// MSHRStalls counts the cycles on which the core held a request
+	// refused for a full MSHR (the pending-walk limit), including the
+	// cycles the core slept through until a walk completed. It counts
+	// simulated cycles, not how often the host loop retried.
+	MSHRStalls int64
 }
 
 // AvgWalkCycles returns the mean walk latency.
@@ -67,10 +71,27 @@ type MMU struct {
 	dws      *dwsPool
 	walkFIFO []walkRequest
 	active   []*walkJob
+	// dispatchDirty is set when a dispatch pass could grant a walker
+	// the previous pass did not: a walk was queued, a walker was
+	// released, or a DWS pass granted while walks stayed queued.
+	dispatchDirty bool
 
 	// mshr[core] maps a VPN with a pending walk to its waiting
 	// requests.
 	mshr []map[uint64]*mshrEntry
+	// mshrBlocked[core] is set when Submit refuses core for a full MSHR
+	// and cleared by core's next walk completion, which frees a slot.
+	mshrBlocked []bool
+
+	// freeJobs and freeEntries recycle completed walks and freed MSHR
+	// entries, with their PTE and waiter slices.
+	freeJobs    []*walkJob
+	freeEntries []*mshrEntry
+
+	// OnMSHRFree, if non-nil, is called when a walk completion frees an
+	// MSHR slot of a core that Submit refused for a full MSHR. It fires
+	// during Tick(now), before the cores tick on that cycle.
+	OnMSHRFree func(now clock.Global, core int)
 
 	// issueQ[core] holds translated requests awaiting DRAM admission.
 	issueQ []mem.Queue
@@ -108,18 +129,19 @@ func New(cfg Config, backend Backend, tables []*PageTable, ids *mem.IDAllocator)
 		return nil, fmt.Errorf("mmu: got %d page tables for %d cores", len(tables), cfg.Cores)
 	}
 	m := &MMU{
-		cfg:       cfg,
-		backend:   backend,
-		ids:       ids,
-		tables:    tables,
-		mshr:      make([]map[uint64]*mshrEntry, cfg.Cores),
-		issueQ:    make([]mem.Queue, cfg.Cores),
-		portUsed:  make([]int, cfg.Cores),
-		stalls:    make([]stall, cfg.Cores),
-		blocked:   make([]bool, cfg.Cores),
-		pending:   make([]int, cfg.Cores),
-		portCycle: -1,
-		stats:     make([]CoreStats, cfg.Cores),
+		cfg:         cfg,
+		backend:     backend,
+		ids:         ids,
+		tables:      tables,
+		mshr:        make([]map[uint64]*mshrEntry, cfg.Cores),
+		mshrBlocked: make([]bool, cfg.Cores),
+		issueQ:      make([]mem.Queue, cfg.Cores),
+		portUsed:    make([]int, cfg.Cores),
+		stalls:      make([]stall, cfg.Cores),
+		blocked:     make([]bool, cfg.Cores),
+		pending:     make([]int, cfg.Cores),
+		portCycle:   -1,
+		stats:       make([]CoreStats, cfg.Cores),
 	}
 	for i := range m.mshr {
 		m.mshr[i] = make(map[uint64]*mshrEntry)
@@ -222,13 +244,22 @@ func (m *MMU) Submit(now clock.Global, r *mem.Request) bool {
 		// our acceptance by not consuming a port and reporting the
 		// stall. The re-submitted request will probe again.
 		m.stats[core].MSHRStalls++
+		m.mshrBlocked[core] = true
 		return false
 	}
 	m.portUsed[core]++
 	m.stats[core].Translations++
 	m.stats[core].TLBMisses++
-	m.mshr[core][vpn] = &mshrEntry{waiters: []*mem.Request{r}}
+	var e *mshrEntry
+	if n := len(m.freeEntries); n > 0 {
+		e, m.freeEntries = m.freeEntries[n-1], m.freeEntries[:n-1]
+	} else {
+		e = &mshrEntry{}
+	}
+	e.waiters = append(e.waiters, r)
+	m.mshr[core][vpn] = e
 	m.walkFIFO = append(m.walkFIFO, walkRequest{core: core, vpn: vpn, at: now})
+	m.dispatchDirty = true
 	if m.obs != nil {
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindTLBMiss, Core: int32(core)})
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindMSHRAlloc, Core: int32(core), A: int64(len(m.mshr[core]))})
@@ -253,9 +284,18 @@ func (m *MMU) Tick(now clock.Global) {
 
 // dispatchWalks grants walkers to queued walks in arrival order,
 // skipping cores that cannot take a walker right now (they keep their
-// queue position).
+// queue position). A pass runs only when dispatchDirty is set: a
+// pass's grants depend only on the FIFO and the walker state, and
+// between passes only Submit (a queued walk) and completeWalk (a
+// released walker) change them. Under PoolBounds a grant never makes
+// another walk grantable, so a pass leaves nothing for the next one;
+// under DWSStealing a grant lowers its core's pending count, which may
+// let an earlier walk steal that core's walker on the next pass, so a
+// DWS pass that granted with walks still queued stays dirty.
 func (m *MMU) dispatchWalks(now clock.Global) {
-	if len(m.walkFIFO) == 0 {
+	dirty := m.dispatchDirty
+	m.dispatchDirty = false
+	if len(m.walkFIFO) == 0 || !dirty && !invariant.Enabled {
 		return
 	}
 	// Pending walk counts per core, consumed by the DWS policy's
@@ -268,6 +308,7 @@ func (m *MMU) dispatchWalks(now clock.Global) {
 			pending[wr.core]++
 		}
 	}
+	granted := 0
 	remaining := m.walkFIFO[:0]
 	for i, wr := range m.walkFIFO {
 		if m.freeWalkers() == 0 {
@@ -291,8 +332,18 @@ func (m *MMU) dispatchWalks(now clock.Global) {
 			}
 			m.pool.grab(wr.core)
 		}
-		ppn, ptes := m.tables[wr.core].Walk(wr.vpn)
-		job := &walkJob{core: wr.core, vpn: wr.vpn, ppn: ppn, pteAddrs: ptes, startedAt: now, owner: owner}
+		if invariant.Enabled {
+			invariant.Check(dirty, "mmu: walk dispatch granted core %d a walker on a pass no event made dirty", wr.core)
+		}
+		granted++
+		var job *walkJob
+		if n := len(m.freeJobs); n > 0 {
+			job, m.freeJobs = m.freeJobs[n-1], m.freeJobs[:n-1]
+		} else {
+			job = &walkJob{}
+		}
+		ppn, ptes := m.tables[wr.core].walk(wr.vpn, job.pteAddrs[:0])
+		*job = walkJob{core: wr.core, vpn: wr.vpn, ppn: ppn, pteAddrs: ptes, startedAt: now, owner: owner}
 		if m.cfg.WalkMemory == FixedWalkLatency {
 			job.readyAt = now + clock.Global(len(ptes))*m.cfg.EffectiveWalkLatency()
 		}
@@ -302,6 +353,7 @@ func (m *MMU) dispatchWalks(now clock.Global) {
 		}
 	}
 	m.walkFIFO = remaining
+	m.dispatchDirty = m.dws != nil && granted > 0 && len(remaining) > 0
 }
 
 func (m *MMU) freeWalkers() int {
@@ -375,6 +427,7 @@ func (m *MMU) completeWalk(now clock.Global, job *walkJob) {
 	} else {
 		m.pool.release(job.core)
 	}
+	m.dispatchDirty = true
 	e, ok := m.mshr[job.core][job.vpn]
 	if invariant.Enabled {
 		// A completed walk without an MSHR entry means the entry was
@@ -390,11 +443,21 @@ func (m *MMU) completeWalk(now clock.Global, job *walkJob) {
 			m.issueQ[job.core].Push(r)
 		}
 		delete(m.mshr[job.core], job.vpn)
+		clear(e.waiters)
+		e.waiters = e.waiters[:0]
+		m.freeEntries = append(m.freeEntries, e)
+	}
+	if m.mshrBlocked[job.core] {
+		m.mshrBlocked[job.core] = false
+		if m.OnMSHRFree != nil {
+			m.OnMSHRFree(now, job.core)
+		}
 	}
 	if m.obs != nil {
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindWalkEnd, Core: int32(job.core), A: int64(job.vpn), B: lat})
 		m.obs.Emit(obs.Event{Cycle: now, Kind: obs.KindMSHRFree, Core: int32(job.core), A: int64(len(m.mshr[job.core]))})
 	}
+	m.freeJobs = append(m.freeJobs, job)
 }
 
 // drainWindow bounds how far into a core's issue queue the drain looks
@@ -570,13 +633,16 @@ func (m *MMU) checkStall(core int) {
 }
 
 // NextEventAfter returns the earliest global cycle at which the MMU
-// needs ticking. Queued walks, translated requests awaiting DRAM
-// admission, and DRAM-backed walks between PTE reads all progress
-// cycle-by-cycle (now+1); fixed-latency walks sleep until their
-// deadline; walks waiting on a DRAM PTE read are woken by the memory
-// completion, which the DRAM's own NextEventAfter bounds.
+// needs ticking. Translated requests awaiting DRAM admission and
+// DRAM-backed walks between PTE reads progress cycle-by-cycle (now+1).
+// Queued walks need now+1 only while dispatchDirty says a dispatch
+// pass could grant a walker; otherwise they wait for the walk
+// completion that releases one, which the active walks' horizon
+// covers. Fixed-latency walks sleep until their deadline; walks
+// waiting on a DRAM PTE read are woken by the memory completion, which
+// the DRAM's own NextEventAfter bounds.
 func (m *MMU) NextEventAfter(now clock.Global) clock.Global {
-	if len(m.walkFIFO) > 0 {
+	if m.dispatchDirty && len(m.walkFIFO) > 0 {
 		return now + 1
 	}
 	for i := range m.issueQ {
@@ -619,6 +685,21 @@ func (m *MMU) Busy() bool {
 		}
 	}
 	return false
+}
+
+// MSHRBlocked reports whether Submit refused core for a full MSHR and
+// none of core's walks has completed since. While it holds, resubmitting
+// the refused request is refused again with the same side effects.
+func (m *MMU) MSHRBlocked(core int) bool { return m.mshrBlocked[core] }
+
+// CreditMSHRStalls records n refused resubmissions that core skipped
+// while MSHRBlocked held. Each would have counted one MSHR stall and
+// one miss in the core's TLB; its only other effect, a tick of the
+// TLB's LRU clock, orders entries without changing which is evicted,
+// so skipping it changes nothing.
+func (m *MMU) CreditMSHRStalls(core int, n int64) {
+	m.stats[core].MSHRStalls += n
+	m.tlbFor(core).misses += n
 }
 
 // PendingWalks returns the number of distinct outstanding walks for

@@ -123,7 +123,13 @@ func (t *PageTable) indexAt(vpn uint64, level int) uint64 {
 // physical addresses of the PTEs a hardware walker reads, one per level,
 // in walk order.
 func (t *PageTable) Walk(vpn uint64) (ppn uint64, pteAddrs []uint64) {
-	pteAddrs = make([]uint64, 0, t.levels)
+	return t.walk(vpn, make([]uint64, 0, t.levels))
+}
+
+// walk is Walk appending the PTE addresses to buf, so a caller that
+// recycles buffers allocates nothing.
+func (t *PageTable) walk(vpn uint64, buf []uint64) (ppn uint64, pteAddrs []uint64) {
+	pteAddrs = buf
 	node := t.root
 	for lv := 0; lv < t.levels-1; lv++ {
 		idx := t.indexAt(vpn, lv)

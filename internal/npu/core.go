@@ -12,8 +12,16 @@ import (
 
 // Submitter accepts virtually addressed requests from the DMA engine;
 // *mmu.MMU satisfies it.
+//
+// MSHRBlocked reports that core's last refused request was refused for
+// a full MSHR and that every resubmission is refused the same way until
+// the submitter frees a slot and wakes the core. While it holds, the
+// core sleeps instead of resubmitting on every cycle, and
+// CreditMSHRStalls records the n resubmissions it skipped.
 type Submitter interface {
 	Submit(now clock.Global, r *mem.Request) bool
+	MSHRBlocked(core int) bool
+	CreditMSHRStalls(core int, n int64)
 }
 
 // Stats aggregates a core's execution counters. Cycle counts are in the
@@ -59,6 +67,9 @@ type Core struct {
 	ids   *mem.IDAllocator
 
 	localDone clock.Local
+	// lastTick is the last global cycle Tick ran on, on the core's
+	// delayed timeline.
+	lastTick clock.Global
 
 	// Load pipeline. loadedThrough is the last fully loaded tile.
 	loadTile      int
@@ -66,6 +77,12 @@ type Core struct {
 	loadInflight  int
 	loadedThrough int
 	pendingReq    *mem.Request // built but not yet accepted by the MMU
+	// parked records, as of the last tick, that pendingReq was refused
+	// for a full MSHR and the MMU still held the core blocked: each
+	// cycle SkipTo later skips would have resubmitted pendingReq in
+	// vain. It is cached because the walk completion that ends the skip
+	// clears the MMU's flag before SkipTo runs.
+	parked bool
 
 	// Compute pipeline.
 	computeTile int
@@ -77,6 +94,7 @@ type Core struct {
 	storeInflight int
 
 	inflight int
+	done     func(clock.Global, *mem.Request) // c.complete, bound once
 
 	finishedFirst bool
 
@@ -113,9 +131,11 @@ func NewCore(id int, arch ArchConfig, sched *tile.Schedule, dom clock.Domain, su
 		mmu:           submitter,
 		ids:           ids,
 		loadedThrough: -1,
+		lastTick:      -1,
 	}
 	c.stats.LayerEndCycles = make(map[int]int64)
 	c.loadEmit = newEmitter(sched.Tasks[0].Loads, arch.BlockBytes)
+	c.done = c.complete
 	return c, nil
 }
 
@@ -145,14 +165,21 @@ func (c *Core) Tick(now clock.Global) {
 			"npu: core %d local clock would run backwards: done=%d target=%d (global %d)",
 			c.id, c.localDone, targetLocal, now)
 	}
-	if elapsed <= 0 {
-		return
+	c.lastTick = now
+	if elapsed > 0 {
+		c.advanceCompute(elapsed)
+		c.issueDMA(now, elapsed)
+		c.localDone = targetLocal
+		c.stats.LocalCycles = c.localDone.Int64()
+		c.checkIterationEnd(now)
 	}
-	c.advanceCompute(elapsed)
-	c.issueDMA(now, elapsed)
-	c.localDone = targetLocal
-	c.stats.LocalCycles = c.localDone.Int64()
-	c.checkIterationEnd(now)
+	c.parked = c.blocked()
+}
+
+// blocked reports whether pendingReq waits on a full MSHR that the MMU
+// has not yet freed.
+func (c *Core) blocked() bool {
+	return c.pendingReq != nil && c.mmu.MSHRBlocked(c.id)
 }
 
 // obsGlobal maps a core-local cycle onto the true global timeline.
@@ -292,32 +319,34 @@ func (c *Core) buildRequest(addr uint64, kind mem.Kind, tileIdx int) *mem.Reques
 	if tileIdx >= 0 {
 		r.Layer = c.sched.Tasks[tileIdx].Layer
 	}
-	r.Done = func(done clock.Global, _ *mem.Request) {
-		c.inflight--
-		if kind == mem.Read {
-			c.loadInflight--
-		} else {
-			c.storeInflight--
-		}
-		if c.Obs != nil {
-			// done is already on the true global timeline: memory
-			// completions are delivered on the undelayed global clock.
-			c.Obs.Emit(obs.Event{Cycle: done, Kind: obs.KindDMAComplete,
-				Core: int32(c.id), A: int64(c.inflight)})
-		}
-	}
+	r.Done = c.done
 	return r
+}
+
+// complete is every DMA request's Done callback, bound once in NewCore
+// so that issuing a request allocates only the request.
+//
+//lint:allow wakecontract audited stimulus seam: memory completions reach it through dram.Memory, whose OnComplete re-arms the issuing core at the completion cycle
+func (c *Core) complete(done clock.Global, r *mem.Request) {
+	c.inflight--
+	if r.Kind == mem.Read {
+		c.loadInflight--
+	} else {
+		c.storeInflight--
+	}
+	if c.Obs != nil {
+		// done is already on the true global timeline: memory
+		// completions are delivered on the undelayed global clock.
+		c.Obs.Emit(obs.Event{Cycle: done, Kind: obs.KindDMAComplete,
+			Core: int32(c.id), A: int64(c.inflight)})
+	}
 }
 
 // advanceLoadWindow marks the current load tile complete when all its
 // requests returned, and opens the next tile if the double-buffer window
 // (computeTile+1) allows.
 func (c *Core) advanceLoadWindow(now clock.Global) {
-	for c.loadTile < len(c.sched.Tasks) &&
-		c.loadTile <= c.loadWindow() &&
-		c.loadEmit.done() &&
-		c.loadInflight == 0 &&
-		(c.pendingReq == nil || c.pendingReq.Kind != mem.Read) {
+	for c.swapDue() {
 		c.loadedThrough = c.loadTile
 		if c.Obs != nil {
 			c.Obs.Emit(obs.Event{Cycle: now + c.ObsCycleOffset, Kind: obs.KindSPMSwap,
@@ -396,8 +425,19 @@ func (c *Core) HasIssuableWork() bool {
 // needs ticking: immediately if it can issue requests, at compute
 // completion if it is purely computing, or far in the future if it only
 // waits on memory responses.
+//
+// A core whose pendingReq the MMU refused for a full MSHR is parked
+// while the MMU still reports it blocked: every resubmission would be
+// refused until a walk of this core completes, and that completion
+// wakes the core on the same cycle. A parked core therefore needs
+// ticking only for its own pipeline: at the compute horizon, or now+1
+// if an SPM swap is due (a load completion delivered on a tick that
+// advanced no local cycle). SkipTo credits the resubmissions it
+// skipped. Parking follows the MMU's live flag, so a core woken on a
+// tick that advanced no local cycle resubmits on the next one.
 func (c *Core) NextEventAfter(now clock.Global) clock.Global {
-	if c.HasIssuableWork() {
+	parked := c.blocked()
+	if parked && c.swapDue() || !parked && c.HasIssuableWork() {
 		return now + 1
 	}
 	if c.computeTile < len(c.sched.Tasks) && c.loadedThrough >= c.computeTile {
@@ -414,10 +454,20 @@ func (c *Core) NextEventAfter(now clock.Global) clock.Global {
 		// ToGlobal(L).
 		return c.dom.ToGlobal(c.localDone+c.computeRem) - 1
 	}
-	if c.inflight > 0 {
-		return clock.FarFuture // memory callbacks will create work
+	if parked || c.inflight > 0 {
+		return clock.FarFuture // an MSHR wake or memory callback will create work
 	}
 	return now + 1 // iteration restart
+}
+
+// swapDue reports whether the next ticked cycle performs an SPM
+// double-buffer swap: advanceLoadWindow's condition.
+func (c *Core) swapDue() bool {
+	return c.loadTile < len(c.sched.Tasks) &&
+		c.loadTile <= c.loadWindow() &&
+		c.loadEmit.done() &&
+		c.loadInflight == 0 &&
+		(c.pendingReq == nil || c.pendingReq.Kind != mem.Read)
 }
 
 // SkipTo fast-forwards the core to global cycle now without observing
@@ -426,12 +476,31 @@ func (c *Core) NextEventAfter(now clock.Global) clock.Global {
 // no request is issued. The caller guarantees now is at or before the
 // core's NextEventAfter, which makes both properties hold: the local
 // target LocalFloor(now) is strictly before the pending completion, and
-// HasIssuableWork was false with no memory callback in the window.
+// the core either had no issuable work or was parked, with no memory
+// callback or MSHR wake in the window.
+//
+// A core parked at its last tick would have resubmitted its refused
+// request once on every skipped cycle that advanced a local cycle:
+// min(skipped global cycles, elapsed local cycles) times, since a
+// global cycle advances at most one local cycle when the core is slower
+// and at least one when it is faster. (A DMA slot is always free: the
+// request was refused with one free, and no request issues while it
+// waits.) SkipTo credits those refusals. It reads its own parked flag,
+// not the MMU's: the walk completion that wakes the core clears the
+// MMU's flag before the core catches up.
 func (c *Core) SkipTo(now clock.Global) {
 	targetLocal := c.dom.LocalFloor(now)
 	elapsed := targetLocal - c.localDone
 	if elapsed <= 0 {
 		return
+	}
+	if c.parked {
+		if invariant.Enabled {
+			invariant.Check(c.inflight < c.arch.DMAMaxInflight,
+				"npu: core %d parked on a refused request with no DMA slot free (inflight=%d)", c.id, c.inflight)
+		}
+		skipped := (now - 1 - c.lastTick).Int64()
+		c.mmu.CreditMSHRStalls(c.id, min(skipped, elapsed.Int64()))
 	}
 	tileBefore := c.computeTile
 	c.advanceCompute(elapsed)

@@ -154,6 +154,10 @@ func (s *recordingSubmitter) Submit(now clock.Global, r *mem.Request) bool {
 	return true
 }
 
+func (s *recordingSubmitter) MSHRBlocked(int) bool { return false }
+
+func (s *recordingSubmitter) CreditMSHRStalls(int, int64) {}
+
 func (s *recordingSubmitter) tick(now clock.Global) {
 	out := s.pending[:0]
 	for _, p := range s.pending {

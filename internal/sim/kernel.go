@@ -60,11 +60,12 @@ func (c Config) effectiveKernel() Kernel {
 // component is the event kernel's view of one piece of hardware: a DRAM
 // channel, the MMU, or an NPU core. The wake contract: after tick(now),
 // the component's observable state cannot change before next(now) unless
-// an external stimulus (DMA submit, DRAM enqueue, burst completion)
-// arrives first — and every such stimulus re-arms the target through
-// eventKernel.wake. skipTo(now) advances pure bookkeeping (a core's
-// local clock and stall accounting) across a window the contract proved
-// quiet; it is a no-op for channels and the MMU.
+// an external stimulus (DMA submit, DRAM enqueue, burst completion, an
+// MSHR slot freed for a refused core) arrives first — and every such
+// stimulus re-arms the target through eventKernel.wake. skipTo(now)
+// advances pure bookkeeping (a core's local clock, stall accounting and
+// skipped MSHR refusals) across a window the contract proved quiet; it
+// is a no-op for channels and the MMU.
 type component interface {
 	tick(now clock.Global)
 	skipTo(now clock.Global)
@@ -117,7 +118,8 @@ func (c coreComp) next(now clock.Global) clock.Global {
 // recomputes the same value after this cycle. A coalesced miss that
 // merely joins an in-flight walk leaves the horizon at the walk's
 // completion, so waking at now+1 unconditionally would make the event
-// kernel visit cycles the tick kernel skips.
+// kernel visit cycles the tick kernel skips. The MSHR parking queries
+// pass straight through; the matching wake is MMU.OnMSHRFree.
 type wakeSubmitter struct {
 	mmu   *mmu.MMU
 	ek    *eventKernel
@@ -132,6 +134,10 @@ func (w *wakeSubmitter) Submit(now clock.Global, r *mem.Request) bool {
 	}
 	return ok
 }
+
+func (w *wakeSubmitter) MSHRBlocked(core int) bool { return w.mmu.MSHRBlocked(core) }
+
+func (w *wakeSubmitter) CreditMSHRStalls(core int, n int64) { w.mmu.CreditMSHRStalls(core, n) }
 
 // wakeEntry is one heap entry: component id armed at cycle at. Ordering
 // is (at, id); ids follow the tick loop's within-cycle component order

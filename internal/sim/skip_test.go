@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"mnpusim/internal/clock"
+	"mnpusim/internal/obs"
 	"mnpusim/internal/workloads"
 )
 
@@ -65,6 +66,38 @@ func TestSkipShortensWallClockWork(t *testing.T) {
 	if res.Cores[0].Cycles <= 0 {
 		t.Fatalf("bad cycle count: %+v", res.Cores[0])
 	}
+}
+
+// TestBackPressureSleeps guards the event kernel's back-pressure
+// sleeps on a translation-bound mix. On dlrm+ncf at Static, walks wait
+// for walkers and a core waits on a full MSHR for most of the run;
+// polling either one ticks several components on nearly every cycle.
+// Sleeping until a walk completes must keep component ticks at or
+// below half the global cycles. Both counts are simulated, not timed,
+// so the bound cannot flake.
+func TestBackPressureSleeps(t *testing.T) {
+	cfg, err := NewWorkloadConfig(workloads.ScaleTiny, Static, "dlrm", "ncf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg.Metrics = reg
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stalls int64
+	for _, c := range res.Cores {
+		stalls += c.MMU.MSHRStalls
+	}
+	if stalls < res.GlobalCycles/2 {
+		t.Fatalf("only %d MSHR stall cycles in %d global cycles: the mix no longer exercises MSHR back-pressure", stalls, res.GlobalCycles)
+	}
+	ticks := reg.Snapshot().Value("sim.component_ticks")
+	if ticks > res.GlobalCycles/2 {
+		t.Errorf("sim.component_ticks = %d, above half of %d global cycles: back-pressure is polled again", ticks, res.GlobalCycles)
+	}
+	t.Logf("%d component ticks over %d global cycles, %d MSHR stall cycles", ticks, res.GlobalCycles, stalls)
 }
 
 // TestCoreNextEventMatchesTickCompletion pins the clock-domain corner
